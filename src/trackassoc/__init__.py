@@ -10,7 +10,7 @@ closed forms and the numeric oracles.
 
 from .geometry import (DiagBlockCoeffs, GeometryError, RegressionGeometry, ScanConfig,
                        build_design, build_projector, cross_alpha, cross_theta,
-                       diag_coeffs, leverage, variance_polynomials)
+                       diag_coeffs, leverage)
 from .single_fa import (ClampedProbability, CostDiffLaw, IndicatorApprox, RandomLambda,
                         closed_form_probability, conditional_law, exact_probability,
                         first_order_probability, fit_gammas, random_lambda_probability)

@@ -14,17 +14,17 @@ import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import dtmc as dtmc_mod
-from . import mc_oracle, multi_fa, single_fa
+from . import mc_oracle, multi_fa, single_fa, tabulated
 from .geometry import ScanConfig
 from .quadrature import IntegrationError
 
-EXPERIMENTS = ("sweep-lambda", "sweep-n", "first-order", "random-lambda",
-               "multi-fa", "dtmc", "oracle-compare")
 METHOD_ORDER = ("exact", "closed-form", "first-order", "chi2", "normal", "exponential", "mc")
 
 _DEFAULTS = dict(
@@ -79,17 +79,6 @@ class ExperimentSpec:
     jobs: int = 1
 
 
-_DEFAULT_METHODS = {
-    "sweep-lambda": ("exact", "closed-form", "mc"),
-    "sweep-n": ("exact", "closed-form", "mc"),
-    "first-order": ("exact", "first-order"),
-    "random-lambda": ("closed-form", "mc"),
-    "multi-fa": ("chi2", "normal", "mc"),
-    "dtmc": (),
-    "oracle-compare": ("exact", "mc"),
-}
-
-
 def _validate(spec: ExperimentSpec) -> ExperimentSpec:
     if spec.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {spec.experiment!r}")
@@ -114,11 +103,12 @@ def _validate(spec: ExperimentSpec) -> ExperimentSpec:
         raise ConfigError("steps must be >= 0")
     if spec.jobs < 1:
         raise ConfigError("jobs must be >= 1")
-    methods = spec.methods or _DEFAULT_METHODS[spec.experiment]
+    defaults = EXPERIMENTS[spec.experiment].default_methods
+    methods = spec.methods or defaults
     bad = [m for m in methods if m not in METHOD_ORDER]
     if bad:
         raise ConfigError(f"unknown methods: {bad}")
-    if spec.experiment != "dtmc" and not methods:
+    if defaults and not methods:
         raise ConfigError("methods must not be empty")
     methods = tuple(m for m in METHOD_ORDER if m in methods)
     scan = spec.scan or spec.n_scans
@@ -184,16 +174,28 @@ def _fmt(x):
     return f"{x:.10g}"
 
 
-def _single_row(spec, lam, n_scans, scan, approx, methods):
+def _lambda_grid(spec):
+    return _grid(spec.lambda_min, spec.lambda_max, spec.lambda_step)
+
+
+def _n_grid(spec):
+    return list(range(spec.n_min, spec.n_max + 1, spec.n_step))
+
+
+def _p_fa_grid(spec):
+    return _grid(spec.p_fa_min, spec.p_fa_max, spec.p_fa_step)
+
+
+def _single_row(spec, approx, lam, n_scans, scan):
     config = ScanConfig(n_scans=n_scans, dt=spec.dt, lam=lam)
     row = {}
-    if "exact" in methods:
+    if "exact" in spec.methods:
         row["exact"] = single_fa.exact_probability(scan, config)
-    if "closed-form" in methods:
+    if "closed-form" in spec.methods:
         row["closed_form"] = single_fa.closed_form_probability(scan, config, approx).value
-    if "first-order" in methods:
+    if "first-order" in spec.methods:
         row["first_order"] = single_fa.first_order_probability(scan, config, approx)
-    if "mc" in methods:
+    if "mc" in spec.methods:
         plan = mc_oracle.TrialPlan(trials=spec.trials, seed=spec.seed,
                                    config=config, scan=scan)
         est = mc_oracle.simulate_single_fa(plan)
@@ -201,106 +203,94 @@ def _single_row(spec, lam, n_scans, scan, approx, methods):
     return row
 
 
+def _lambda_row(spec, approx, lam):
+    return _single_row(spec, approx, lam, spec.n_scans, spec.scan)
+
+
+def _n_row(spec, approx, n):
+    # an explicit scan below n_scans stays fixed; the default tracks the last scan
+    scan = min(spec.scan, n) if spec.scan < spec.n_scans else n
+    return _single_row(spec, approx, spec.lambda_fixed, n, scan)
+
+
+def _random_lambda_row(spec, approx, lam0):
+    config = ScanConfig(n_scans=spec.n_scans, dt=spec.dt, lam=lam0)
+    rl = single_fa.RandomLambda(lambda0=lam0, sigma0=spec.sigma0)
+    row = {}
+    if "closed-form" in spec.methods:
+        row["closed_form"] = single_fa.random_lambda_probability(rl, spec.scan, config, approx)
+    if "mc" in spec.methods:
+        plan = mc_oracle.TrialPlan(trials=spec.trials, seed=spec.seed,
+                                   config=config, scan=spec.scan, random_lambda=rl)
+        est = mc_oracle.simulate_single_fa(plan)
+        row["mc_p"], row["mc_stderr"] = est.p_hat, est.stderr
+    return row
+
+
+def _multi_fa_row(spec, approx, lam):
+    config = ScanConfig(n_scans=spec.n_scans, dt=spec.dt)
+    indices = tuple(range(spec.n_scans - spec.k + 1, spec.n_scans + 1))
+    fa = multi_fa.FalseAssocSet(indices=indices, lambdas=(lam,) * spec.k)
+    mp = multi_fa.moment_params(fa, config)
+    row = {}
+    if "chi2" in spec.methods:
+        row["chi2"] = multi_fa.prob_chi2(spec.k, mp)
+    if "normal" in spec.methods:
+        row["normal"] = multi_fa.prob_normal(mp).value
+    if "exponential" in spec.methods:
+        row["exponential"] = multi_fa.prob_exponential(mp, rate=1.0 / mp.v0)
+    if "mc" in spec.methods:
+        plan = mc_oracle.TrialPlan(trials=spec.trials, seed=spec.seed, config=config, fa=fa)
+        est, _ = mc_oracle.simulate_multi_fa(plan)
+        row["mc_p"], row["mc_stderr"] = est.p_hat, est.stderr
+    return row
+
+
+def _dtmc_row(spec, approx, p):
+    chain = dtmc_mod.AssocDTMC(p_fa=p)
+    reach = dtmc_mod.reach_probability(chain, spec.steps)
+    return {
+        "reach_spectral": reach.spectral,
+        "reach_power": reach.value,
+        "reach_expansion": tabulated.reach_expansion(chain, spec.steps),
+        "pi4": float(dtmc_mod.stationary(chain)[3]) if 0 < p < 1 else p * p,
+        "expected_visits": dtmc_mod.expected_transient_visits(
+            chain, (1.0, 0.0, 0.0)) if p > 0 else float("inf"),
+    }
+
+
+class Experiment(NamedTuple):
+    x_header: str
+    grid: Callable        # spec -> x values
+    row: Callable         # (spec, approx, x) -> {column: value}, in CSV order
+    default_methods: tuple
+
+
+EXPERIMENTS = {
+    "sweep-lambda": Experiment("lambda", _lambda_grid, _lambda_row, ("exact", "closed-form", "mc")),
+    "sweep-n": Experiment("n_scans", _n_grid, _n_row, ("exact", "closed-form", "mc")),
+    "first-order": Experiment("n_scans", _n_grid, _n_row, ("exact", "first-order")),
+    "random-lambda": Experiment("lambda0", _lambda_grid, _random_lambda_row, ("closed-form", "mc")),
+    "multi-fa": Experiment("lambda", _lambda_grid, _multi_fa_row, ("chi2", "normal", "mc")),
+    "dtmc": Experiment("p_fa", _p_fa_grid, _dtmc_row, ()),
+    "oracle-compare": Experiment("lambda", _lambda_grid, _lambda_row, ("exact", "mc")),
+}
+
+
 def _experiment_rows(spec: ExperimentSpec):
     """(header, rows) for the experiment; rows are lists of floats led by x."""
+    experiment = EXPERIMENTS[spec.experiment]
     approx = single_fa.fit_gammas(spec.n_steps, spec.support_k)
-    methods = spec.methods
-
-    def run_grid(xs, fn):
-        if spec.jobs > 1:
-            with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-                results = list(pool.map(fn, xs))
-        else:
-            results = [fn(x) for x in xs]
-        return results
-
-    if spec.experiment in ("sweep-lambda", "oracle-compare"):
-        xs = _grid(spec.lambda_min, spec.lambda_max, spec.lambda_step)
-        rows = run_grid(xs, lambda lam: _single_row(
-            spec, lam, spec.n_scans, spec.scan, approx, methods))
-        header = ["lambda"]
-    elif spec.experiment in ("sweep-n", "first-order"):
-        xs = list(range(spec.n_min, spec.n_max + 1, spec.n_step))
-        # an explicit scan below n_scans is held fixed across the sweep;
-        # the default tracks the last scan of each grid point
-        fixed_scan = spec.scan if spec.scan < spec.n_scans else None
-        rows = run_grid(xs, lambda n: _single_row(
-            spec, spec.lambda_fixed, n, min(fixed_scan, n) if fixed_scan else n,
-            approx, methods))
-        header = ["n_scans"]
-    elif spec.experiment == "random-lambda":
-        xs = _grid(spec.lambda_min, spec.lambda_max, spec.lambda_step)
-
-        def row_fn(lam0):
-            config = ScanConfig(n_scans=spec.n_scans, dt=spec.dt, lam=lam0)
-            rl = single_fa.RandomLambda(lambda0=lam0, sigma0=spec.sigma0)
-            row = {}
-            if "closed-form" in methods:
-                row["closed_form"] = single_fa.random_lambda_probability(
-                    rl, spec.scan, config, approx)
-            if "mc" in methods:
-                plan = mc_oracle.TrialPlan(trials=spec.trials, seed=spec.seed,
-                                           config=config, scan=spec.scan, random_lambda=rl)
-                est = mc_oracle.simulate_single_fa(plan)
-                row["mc_p"], row["mc_stderr"] = est.p_hat, est.stderr
-            return row
-
-        rows = run_grid(xs, row_fn)
-        header = ["lambda0"]
-    elif spec.experiment == "multi-fa":
-        xs = _grid(spec.lambda_min, spec.lambda_max, spec.lambda_step)
-        indices = tuple(range(spec.n_scans - spec.k + 1, spec.n_scans + 1))
-
-        def row_fn(lam):
-            config = ScanConfig(n_scans=spec.n_scans, dt=spec.dt)
-            fa = multi_fa.FalseAssocSet(indices=indices, lambdas=(lam,) * spec.k)
-            mp = multi_fa.moment_params(fa, config)
-            row = {}
-            if "chi2" in methods:
-                row["chi2"] = multi_fa.prob_chi2(spec.k, mp)
-            if "normal" in methods:
-                row["normal"] = multi_fa.prob_normal(mp).value
-            if "exponential" in methods:
-                row["exponential"] = multi_fa.prob_exponential(mp, rate=1.0 / mp.v0).value
-            if "mc" in methods:
-                plan = mc_oracle.TrialPlan(trials=spec.trials, seed=spec.seed,
-                                           config=config, fa=fa)
-                est, _ = mc_oracle.simulate_multi_fa(plan)
-                row["mc_p"], row["mc_stderr"] = est.p_hat, est.stderr
-            return row
-
-        rows = run_grid(xs, row_fn)
-        header = ["lambda"]
-    elif spec.experiment == "dtmc":
-        xs = _grid(spec.p_fa_min, spec.p_fa_max, spec.p_fa_step)
-
-        def row_fn(p):
-            chain = dtmc_mod.AssocDTMC(p_fa=p)
-            reach = dtmc_mod.reach_probability(chain, spec.steps)
-            row = {
-                "reach_spectral": reach.spectral,
-                "reach_power": reach.value,
-                "reach_expansion": reach.expansion,
-                "pi4": float(dtmc_mod.stationary(chain)[3]) if 0 < p < 1 else p * p,
-                "expected_visits": dtmc_mod.expected_transient_visits(
-                    chain, (1.0, 0.0, 0.0)) if p > 0 else float("inf"),
-            }
-            return row
-
-        rows = run_grid(xs, row_fn)
-        header = ["p_fa"]
-    else:  # pragma: no cover
-        raise ConfigError(f"unhandled experiment {spec.experiment}")
-
-    columns = []
-    for key in ("exact", "closed_form", "first_order", "chi2", "normal", "exponential",
-                "reach_spectral", "reach_power", "reach_expansion", "pi4",
-                "expected_visits", "mc_p", "mc_stderr"):
-        if rows and key in rows[0]:
-            columns.append(key)
-    header += columns
-    table = [[x] + [rows[i][c] for c in columns] for i, x in enumerate(xs)]
-    return header, table
+    xs = experiment.grid(spec)
+    row_fn = partial(experiment.row, spec, approx)
+    if spec.jobs > 1:
+        with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
+            rows = list(pool.map(row_fn, xs))
+    else:
+        rows = [row_fn(x) for x in xs]
+    columns = list(rows[0])
+    table = [[x] + [row[c] for c in columns] for x, row in zip(xs, rows)]
+    return [experiment.x_header] + columns, table
 
 
 def write_csv(path, header, table):
@@ -357,7 +347,7 @@ def run(spec: ExperimentSpec, out_dir, plot: bool = False) -> int:
     csv_path = out / f"{spec.experiment}.csv"
     try:
         header, table = _experiment_rows(spec)
-    except (IntegrationError, RuntimeError, FloatingPointError) as exc:
+    except (IntegrationError, FloatingPointError) as exc:
         csv_path.write_text(f"# ERROR: {exc}\n")
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

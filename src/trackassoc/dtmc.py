@@ -56,18 +56,12 @@ def build_chains(dtmc: AssocDTMC) -> ChainMatrices:
 
 
 def stationary(dtmc: AssocDTMC) -> np.ndarray:
-    """Product-form stationary law, cross-checked against the balance equation."""
+    """Product-form stationary law ((1-p)^2, p(1-p), p(1-p), p^2)."""
     p = dtmc.p_fa
     if not 0.0 < p < 1.0:
         raise DegenerateChainError("stationary law needs 0 < p_fa < 1")
     q = 1.0 - p
-    pi = np.array([q * q, p * q, p * q, p * p])
-    p2 = build_chains(dtmc).p2
-    a = np.vstack([p2.T - np.eye(4), np.ones(4)])
-    solved, *_ = np.linalg.lstsq(a, np.concatenate([np.zeros(4), [1.0]]), rcond=None)
-    if np.abs(solved - pi).max() > 1e-12:
-        raise RuntimeError("product-form stationary law failed the balance equation")
-    return pi
+    return np.array([q * q, p * q, p * q, p * p])
 
 
 def chain_power(dtmc: AssocDTMC, n: int) -> np.ndarray:
@@ -91,27 +85,37 @@ def mean_intervisit(dtmc: AssocDTMC, state: int) -> float:
 
 @dataclass(frozen=True)
 class ReachProbability:
-    """P(state 4 reached within [0, n]) from [ca,ca], three ways.
+    """P(state 4 reached within [0, n]) from [ca,ca], two ways.
 
     ``value`` is the matrix-power oracle, ``spectral`` the two-eigenvalue
-    closed form (the two are required to agree to 1e-10), ``expansion`` the
-    tabulated small-p quadratic (n+1)p^2 + p/3, whose error is O(p) -- kept
-    for diagnostics, see FINDINGS.md.
+    closed form; the tests hold them to 1e-12 relative agreement.
     """
 
     value: float
     spectral: float
-    expansion: float
 
 
 def _spectral_reach(p: float, n: int) -> float:
-    if p == 0.0:
+    """1 - sum_j lam_j^{n+1} (lam_j + p) / ((1-p)(lam_j + 2p)), free of cancellation.
+
+    The dominant eigenvalue 1 - d, its weight 1 + (c - 1) and the subdominant
+    term are rearranged so that none is a difference of nearly equal numbers.
+    Two consecutive false associations need two decisions, so n < 2 gives 0.
+    """
+    if n < 2 or p == 0.0:
         return 0.0
-    disc = math.sqrt(1.0 + 2.0 * p - 3.0 * p * p)
-    out = 1.0
-    for lam in ((1.0 - p - disc) / 2.0, (1.0 - p + disc) / 2.0):
-        out -= lam ** (n + 1) * (lam + p) / ((1.0 - p) * (lam + 2.0 * p))
-    return out
+    q = 1.0 - p
+    disc = math.sqrt(q * (1.0 + 3.0 * p))
+    s = q + disc
+    big = 0.5 * s
+    d = 2.0 * p * p / (1.0 + p + disc)
+    log_big = math.log1p(-d) if d < 0.5 else math.log(big)
+    c_minus_1 = p * (2.0 * p - d) / (q * (big + 2.0 * p))
+    small = -2.0 * p * q / s
+    reach = (-math.expm1((n + 1) * log_big + math.log1p(c_minus_1))
+             - small ** (n + 1) * 2.0 * p / (disc * s))
+    # once p^2 is subnormal (p < 1.5e-154), rounding can land just below zero
+    return max(reach, 0.0)
 
 
 def reach_probability(dtmc: AssocDTMC, n: int) -> ReachProbability:
@@ -121,39 +125,14 @@ def reach_probability(dtmc: AssocDTMC, n: int) -> ReachProbability:
     if not 0.0 <= p < 1.0:
         raise DegenerateChainError("reach probability needs 0 <= p_fa < 1")
     power = float(np.linalg.matrix_power(build_chains(dtmc).p2_absorbing, n)[0, 3])
-    spectral = _spectral_reach(p, n)
-    if abs(power - spectral) > 1e-10:
-        raise RuntimeError("spectral reach probability disagrees with matrix powers")
-    return ReachProbability(value=power, spectral=spectral,
-                            expansion=(n + 1) * p * p + p / 3.0)
-
-
-def reach_probability_alt_form(dtmc: AssocDTMC, n: int) -> float:
-    """Alternative tabulated closed form for the reach probability.
-
-    Retained only for cross-checking: it disagrees grossly with the
-    matrix-power oracle (values outside [0, 1]); see FINDINGS.md.
-    """
-    p = dtmc.p_fa
-    disc = math.sqrt(1.0 + 2.0 * p - 3.0 * p * p)
-    l2 = (1.0 - p - disc) / 2.0
-    l3 = (1.0 - p + disc) / 2.0
-    q = 1.0 - p
-    return (1.0
-            - l2 ** (n + 1) * (2 * l2 + q) / (2 * l2 * l2 + q * q)
-            + l3 ** (n + 1) * (2 * l3 + q) / (2 * l3 * l3 + q * q))
-
-
-def _transient_q(p: float) -> np.ndarray:
-    q = 1.0 - p
-    return np.array([[q, p, 0.0], [0.0, 0.0, q], [q, p, 0.0]])
+    return ReachProbability(value=power, spectral=_spectral_reach(p, n))
 
 
 def expected_transient_visits(dtmc: AssocDTMC, start) -> float:
     """Expected steps before absorption, start a law over transient states (1,2,3).
 
-    Closed form start . ((1+p)/p^2, 1/p^2, (1+p)/p^2), cross-checked against
-    the fundamental-matrix solve. Infinite for p_fa = 0.
+    Closed form start . ((1+p)/p^2, 1/p^2, (1+p)/p^2), the row sums of the
+    fundamental matrix (I - Q)^-1. Infinite for p_fa = 0.
     """
     p = dtmc.p_fa
     start = np.asarray(start, dtype=float)
@@ -162,9 +141,6 @@ def expected_transient_visits(dtmc: AssocDTMC, start) -> float:
     if p == 0.0:
         raise DegenerateChainError("expected absorption time is infinite for p_fa = 0")
     closed = np.array([(1.0 + p) / p**2, 1.0 / p**2, (1.0 + p) / p**2])
-    solved = np.linalg.solve(np.eye(3) - _transient_q(p), np.ones(3))
-    if np.abs(closed - solved).max() > 1e-8 * max(1.0, np.abs(closed).max()):
-        raise RuntimeError("closed-form expected visits disagree with the linear solve")
     return float(start @ closed)
 
 
@@ -174,7 +150,7 @@ def absorption_time_pmf(dtmc: AssocDTMC, start, n: int) -> float:
         raise ValueError("n must be >= 1")
     p = dtmc.p_fa
     start = np.asarray(start, dtype=float)
-    q = _transient_q(p)
+    q = np.array([[1.0 - p, p, 0.0], [0.0, 0.0, 1.0 - p], [1.0 - p, p, 0.0]])
     vec = (np.eye(3) - q) @ np.ones(3)
     return float(start @ np.linalg.matrix_power(q, n - 1) @ vec)
 

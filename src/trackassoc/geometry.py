@@ -13,9 +13,7 @@ leverage
 
 namely M_ll = (1 - h_l) I2 and, with a single contaminated epoch,
 Phi_ll = h_l (1 - h_l) I2. Both are cross-checked against the dense matrices in
-the test suite. A historical cubic-polynomial expansion of the Phi coefficient
-is kept in ``variance_polynomials`` for diagnostics; it does not agree with the
-dense-matrix oracle (see FINDINGS.md) and nothing downstream uses it.
+the test suite.
 """
 
 from __future__ import annotations
@@ -60,8 +58,7 @@ class ScanConfig:
 @dataclass(frozen=True)
 class RegressionGeometry:
     design: np.ndarray    # 2*epochs x 4
-    hat: np.ndarray       # 2*epochs x 2*epochs
-    projector: np.ndarray  # I - hat
+    projector: np.ndarray  # I - X (X'X)^-1 X'
 
 
 @dataclass(frozen=True)
@@ -69,21 +66,11 @@ class DiagBlockCoeffs:
     """Coefficients of the single-contamination quadratic forms at scan l.
 
     alpha scales the cost-difference mean (alpha = h_l - 1, in (-1, 0));
-    beta scales its variance (beta = h_l (1 - h_l)). q1, q2, q3 are the
-    tabulated polynomial terms kept for diagnostics only.
+    beta scales its variance (beta = h_l (1 - h_l)).
     """
 
     alpha: float
     beta: float
-    q1: float
-    q2: float
-    q3: float
-
-
-@dataclass(frozen=True)
-class CrossCoeffs:
-    alpha_cross: float
-    theta_cross: float
 
 
 def _check_scan(l, config):
@@ -109,13 +96,12 @@ def _cached_geometry(n_scans: int, dt: float) -> RegressionGeometry:
     xtx = X.T @ X
     if np.linalg.cond(xtx) > 1e12:
         raise GeometryError("degenerate geometry")
-    hat = X @ np.linalg.solve(xtx, X.T)
-    projector = np.eye(X.shape[0]) - hat
-    return RegressionGeometry(design=X, hat=hat, projector=projector)
+    projector = np.eye(X.shape[0]) - X @ np.linalg.solve(xtx, X.T)
+    return RegressionGeometry(design=X, projector=projector)
 
 
 def build_projector(config: ScanConfig) -> RegressionGeometry:
-    """Dense hat matrix and residual projector for the config's epoch grid."""
+    """Design matrix and dense residual projector for the config's epoch grid."""
     return _cached_geometry(config.n_scans, config.dt)
 
 
@@ -126,27 +112,10 @@ def leverage(l, config: ScanConfig) -> float:
     return 2.0 * (2 * N + 1 - 6 * l + 6 * l * l / N) / ((N + 1) * (N + 2))
 
 
-def variance_polynomials(l, config: ScanConfig):
-    """Tabulated cubic terms (q1, q2, q3) of the variance-coefficient expansion.
-
-    q2 carries a 1/dt factor and q3 a 1/dt^2 factor, so the combination
-    q1 + 2*l*dt*q2 + l^2*dt^2*q3 is dt-free. Diagnostics only: the combination
-    is biased relative to the projector oracle (FINDINGS.md).
-    """
-    _check_scan(l, config)
-    N = float(config.n_scans)
-    dt = config.dt
-    q1 = 4 * N**3 - 50 * N**2 + N * (48 * l - 18) + l * (24 - 36 * l) + 4
-    q2 = -(6.0 / dt) * (N**2 - 5 * N - 2 + 4 * l * (1 + 1 / N - 3 * l / N))
-    q3 = (36.0 / dt**2) * (N / 3 - 1 + (2 / N) * (1.0 / 3 + 2 * l - 2 * l / N**2))
-    return q1, q2, q3
-
-
 def diag_coeffs(l, config: ScanConfig) -> DiagBlockCoeffs:
     """Mean and variance coefficients for a single contaminated scan."""
     h = leverage(l, config)
-    q1, q2, q3 = variance_polynomials(l, config)
-    return DiagBlockCoeffs(alpha=h - 1.0, beta=h * (1.0 - h), q1=q1, q2=q2, q3=q3)
+    return DiagBlockCoeffs(alpha=h - 1.0, beta=h * (1.0 - h))
 
 
 def cross_alpha(lk, lk2, config: ScanConfig) -> float:
@@ -161,8 +130,8 @@ def cross_alpha(lk, lk2, config: ScanConfig) -> float:
 def _excluded_sums(fa_indices, config):
     """Sums of (4N+2-6m)^2, cross term, (1-2m/N)^2 over epochs m not contaminated.
 
-    The dt factors of the q2/q3-style terms are folded in, so the returned
-    triple is dt-free.
+    The dt factors of the q2/q3 terms of ``tabulated.variance_polynomials`` are
+    folded in, so the returned triple is dt-free.
     """
     N = config.n_scans
     excluded = set(int(i) for i in fa_indices)
@@ -191,9 +160,3 @@ def cross_theta(lk, lk2, fa_indices, config: ScanConfig) -> float:
     d = float((N + 1) * (N + 2))
     return (s1 + (lk + lk2) * s2 + lk * lk2 * s3) / (d * d)
 
-
-def cross_coeffs(lk, lk2, fa_indices, config: ScanConfig) -> CrossCoeffs:
-    return CrossCoeffs(
-        alpha_cross=cross_alpha(lk, lk2, config),
-        theta_cross=cross_theta(lk, lk2, fa_indices, config),
-    )

@@ -8,10 +8,9 @@ or thread count. Costs are evaluated through the dense residual projector --
 never through the closed-form coefficients under test -- and the brute-force
 least-squares route is cross-checked in the test suite.
 
-The kinematic state (origin, velocity) is carried in the plan but provably
-cancels from the cost difference (the projector annihilates the design matrix),
-so the implementation computes the difference directly from the noise; this is
-what makes the estimates exactly invariant to the scenario kinematics.
+The kinematic state cancels from the cost difference (the projector annihilates
+the design matrix), so it is computed from the noise alone; the tests check this
+against full least-squares fits of a moving target.
 """
 
 from __future__ import annotations
@@ -38,8 +37,6 @@ class TrialPlan:
     scan: int | None = None
     fa: FalseAssocSet | None = None
     random_lambda: RandomLambda | None = None
-    velocity: tuple = (0.0, 0.0)
-    origin: tuple = (0.0, 0.0)
 
     def __post_init__(self):
         if self.trials < 1:

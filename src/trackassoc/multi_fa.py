@@ -15,8 +15,8 @@ over m1 ~ N(m0, sigma0^2) and a chosen law for v1 gives
 
 evaluated here for a chi-square, a normal, and an exponential v1 law. The
 moment parameters are the exact first two moments of m1 and v1 under
-e_k ~ N(0, I2); tabulated variants that disagree with the Monte Carlo moment
-oracle are kept selectable and documented in FINDINGS.md.
+e_k ~ N(0, I2); the tabulated variants that disagree with the Monte Carlo
+moment oracle live in :mod:`trackassoc.tabulated` and FINDINGS.md.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from scipy import special
 
 from .geometry import GeometryError, ScanConfig, cross_alpha, cross_theta
 from .quadrature import adaptive_integrate, normal_upper_tail
-
-S0_VARIANTS = ("exact", "main", "appendix")
 
 
 @dataclass(frozen=True)
@@ -78,32 +76,22 @@ def coefficient_matrices(fa: FalseAssocSet, config: ScanConfig):
     return A, Th
 
 
-def moment_params(fa: FalseAssocSet, config: ScanConfig,
-                  s0_variant: str = "exact") -> MomentParams:
+def moment_params(fa: FalseAssocSet, config: ScanConfig) -> MomentParams:
     """First two moments of (m1, v1) over the contaminated-scan noise.
 
     m0 and v0 are the tabulated sums (they coincide with the exact means).
     sigma0_sq uses the exact second-moment algebra 4*sum(A_kk'^2); the
     tabulated 4*(sum A_kk')^2 fails the Monte Carlo moment oracle for K >= 2
-    (FINDINGS.md). s0_variant selects the v1-variance formula: "exact"
-    (64*[tr(Th^2) + |Th lam|^2], matches the oracle, default), "main" or
-    "appendix" for the two tabulated alternatives.
+    (FINDINGS.md). s0_sq is the exact v1 variance 64*[tr(Th^2) + |Th lam|^2],
+    which matches the oracle where both tabulated variants fail it.
     """
-    if s0_variant not in S0_VARIANTS:
-        raise ValueError(f"s0_variant must be one of {S0_VARIANTS}")
     A, Th = coefficient_matrices(fa, config)
     lam = np.asarray(fa.lambdas, dtype=float)
     m0 = 2.0 * float(np.trace(A)) - float(lam @ A @ lam)
     sigma0_sq = 4.0 * float((A * A).sum())
     v0 = 4.0 * float(2.0 * np.trace(Th) + lam @ Th @ lam)
-    if s0_variant == "exact":
-        tl = Th @ lam
-        s0_sq = 64.0 * float((Th * Th).sum() + tl @ tl)
-    elif s0_variant == "main":
-        one = 1.0 + lam
-        s0_sq = 2.0 * float(one @ Th @ one) * float(Th.sum())
-    else:
-        s0_sq = 64.0 * float((np.diag(Th) ** 2 * (1.0 + lam**2)).sum())
+    tl = Th @ lam
+    s0_sq = 64.0 * float((Th * Th).sum() + tl @ tl)
     return MomentParams(m0=m0, sigma0_sq=sigma0_sq, v0=v0, s0_sq=s0_sq)
 
 
@@ -168,55 +156,17 @@ def prob_normal(mp: MomentParams) -> NormalCompound:
                           negative_mass=neg_mass, unreliable=neg_mass > 0.05)
 
 
-class ExponentialCompound(NamedTuple):
-    value: float
-    series_value: float
-    series_diagnostic: str
-
-
-def prob_exponential(mp: MomentParams, rate: float, series_terms: int = 8) -> ExponentialCompound:
-    """Compound tail with v1 ~ Exp(rate): quadrature value plus the tabulated series.
-
-    The quadrature path is authoritative. The series path applies the tabulated
-    odd-moment recursion seeded with a quadrature base term; it is divergent for
-    most parameters (terms grow without bound), in which case the series value
-    is NaN and the diagnostic says so. See FINDINGS.md.
-    """
+def prob_exponential(mp: MomentParams, rate: float) -> float:
+    """Compound tail with v1 ~ Exp(rate) by quadrature; see tabulated.exponential_series."""
     if rate <= 0:
         raise ValueError("rate must be positive")
-    if series_terms < 1:
-        raise ValueError("series_terms must be >= 1")
     hi = 40.0 / rate
 
     def f(v):
         return normal_upper_tail(mp.m0 / np.sqrt(mp.sigma0_sq + v)) * rate * np.exp(-rate * v)
 
     val, _ = adaptive_integrate(f, 0.0, hi, abs_tol=1e-8)
-    val = min(max(val, 0.0), 1.0)
-
-    # Base odd moment I1 by quadrature (no closed base is tabulated).
-    def g(v):
-        return (mp.m0 / np.sqrt(mp.sigma0_sq + v)) * rate * np.exp(-rate * v)
-
-    i_term, _ = adaptive_integrate(g, 0.0, hi, abs_tol=1e-10)
-    sigma0 = math.sqrt(mp.sigma0_sq)
-    series = 1.0
-    diagnostic = "converged"
-    prev_mag = abs(i_term)
-    growth = 0
-    for n in range(series_terms):
-        coeff = (2.0 / math.sqrt(np.pi)) * (-1.0) ** n / (math.factorial(n) * (2 * n + 1))
-        series -= coeff * i_term
-        nxt = rate * mp.m0 ** (2 * n + 3) - rate * mp.m0**2 * sigma0 ** (2 * n + 1) * i_term
-        mag = abs(nxt)
-        growth = growth + 1 if mag > prev_mag else 0
-        if not math.isfinite(mag) or (growth >= 3 and mag > 1e6):
-            series = float("nan")
-            diagnostic = f"series diverged at term {n + 1} (|I| = {mag:.3g})"
-            break
-        prev_mag = mag
-        i_term = nxt
-    return ExponentialCompound(value=val, series_value=series, series_diagnostic=diagnostic)
+    return min(max(val, 0.0), 1.0)
 
 
 def compound_density(mp: MomentParams, law: str = "chi2", K: int | None = None,

@@ -11,8 +11,8 @@ correct association integrates the resulting normal tail over e ~ N(0, I2)
 (``exact_probability``). The closed-form shortcuts approximate that integral by
 replacing the conditional normal density with a least-squares staircase of
 nested boxes (``fit_gammas``) and expanding the resulting acceptance-region
-integrals; they are reproduced here exactly as tabulated, and their measured
-accuracy against the exact integral is recorded in FINDINGS.md.
+integrals (:mod:`trackassoc.tabulated`); they are reproduced here exactly as
+tabulated, and their accuracy against the exact integral is in FINDINGS.md.
 """
 
 from __future__ import annotations
@@ -182,28 +182,6 @@ def fit_gammas(n_steps: int = 10, support_k: float = 3.0) -> IndicatorApprox:
                            support_k=support_k)
 
 
-def conditional_box_probability(e_l, l, config: ScanConfig, approx: IndicatorApprox) -> float:
-    """Staircase approximation of P(cost difference >= 0 | e_l).
-
-    Direct evaluation from the box bounds b_i = mean -/+ (k i / n) * std; the
-    algebraically equivalent indicator-sum form is exercised in the tests.
-    """
-    law = conditional_law(e_l, l, config)
-    std = math.sqrt(law.variance)
-    if std == 0.0:
-        return 1.0 if law.mean >= 0 else 0.0
-    n = approx.n_steps
-    k = approx.support_k
-    total = 0.0
-    for i in range(1, n + 1):
-        half = k * i / n * std
-        b_sup = law.mean + half
-        b_inf = law.mean - half
-        kept = (b_sup if b_sup >= 0 else 0.0) - (b_inf if b_inf >= 0 else 0.0)
-        total += approx.gammas[i - 1] / (2.0 * half) * kept
-    return total
-
-
 def closed_form_coefficients(l, config: ScanConfig, approx: IndicatorApprox):
     """(a, b, c) of the tabulated closed form 1 + (a + b*lam + c*lam^2) e^{-lam^2/2}."""
     c = diag_coeffs(l, config)
@@ -236,57 +214,6 @@ def first_order_probability(l, config: ScanConfig, approx: IndicatorApprox) -> f
     c = diag_coeffs(l, config)
     lam = config.lam
     return 1.0 - (1.0 - approx.slope * math.sqrt(c.beta) / c.alpha) * math.exp(-lam * lam / 2.0)
-
-
-def eta_coeff(i, l, config: ScanConfig, approx: IndicatorApprox) -> float:
-    """Half-width parameter of box i's acceptance region, -6 i sqrt(beta) / (n alpha) > 0."""
-    if not 1 <= i <= approx.n_steps:
-        raise ValueError("box index outside 1..n_steps")
-    c = diag_coeffs(l, config)
-    return -6.0 * i * math.sqrt(c.beta) / (approx.n_steps * c.alpha)
-
-
-def a_integral(i, l, config: ScanConfig, approx: IndicatorApprox) -> float:
-    """Tabulated closed form of the box-i acceptance integral (constant part folded out).
-
-    The eta -> 0 limit is -2 e^{-lam^2/2}: the +2 constant is absorbed into the
-    leading 1 of the final closed form. ``reassembled_probability`` restores it.
-    """
-    eta = eta_coeff(i, l, config, approx)
-    lam = config.lam
-    return ((-2 * np.pi + (2 * lam - 2 * np.pi) * eta + (np.pi / 4) * (lam * lam - 1) * eta**2)
-            / np.pi * math.exp(-lam * lam / 2.0))
-
-
-def b_integral(i, l, config: ScanConfig, approx: IndicatorApprox) -> float:
-    """Tabulated closed form of the box-i first-moment integral.
-
-    (1-2 lam^2)/(2 pi) e^{-lam^2/2} eta^3/3 times the angular integral of
-    sin^2(theta/2) over [0, 2 pi], which is pi. Known coefficient bias vs the
-    brute-force oracle: FINDINGS.md.
-    """
-    eta = eta_coeff(i, l, config, approx)
-    lam = config.lam
-    return (1 - 2 * lam * lam) / (2 * np.pi) * math.exp(-lam * lam / 2.0) * eta**3 / 3.0 * np.pi
-
-
-def reassembled_probability(l, config: ScanConfig, approx: IndicatorApprox) -> float:
-    """Probability reassembled from the tabulated box integrals.
-
-    Independent verification path for the closed form: sum(g_i/2 * (A_i + 2))
-    plus the tabulated second-moment box term
-    3 (1 - 2 lam^2) e^{-lam^2/2} (beta/alpha^2) sum(i^2 g_i) / (32 n^2).
-    Disagreements with ``closed_form_probability`` are findings, not bugs here.
-    """
-    c = diag_coeffs(l, config)
-    lam = config.lam
-    n = approx.n_steps
-    total = 0.0
-    for i in range(1, n + 1):
-        total += approx.gammas[i - 1] / 2.0 * (a_integral(i, l, config, approx) + 2.0)
-    total += (3.0 * (1 - 2 * lam * lam) * math.exp(-lam * lam / 2.0)
-              * (c.beta / c.alpha**2) * approx.sum_i2g / (32.0 * n * n))
-    return total
 
 
 def random_lambda_probability(rl: RandomLambda, l, config: ScanConfig,

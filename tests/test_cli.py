@@ -1,3 +1,4 @@
+import ast
 import math
 from pathlib import Path
 
@@ -132,6 +133,17 @@ class TestGolden:
         for r in rows:
             assert abs(r[i_spec] - r[i_pow]) <= 1e-10
 
+    @pytest.mark.parametrize("p_fa", ("1e-5", "1e-6", "1e-9"))
+    def test_dtmc_small_p_fa(self, tmp_path, p_fa):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"experiment=dtmc\np_fa={p_fa}\n")
+        assert run(parse_config(cfg), tmp_path) == 0
+        header, rows = read_csv(tmp_path / "dtmc.csv")
+        for r in rows:
+            assert all(math.isfinite(v) for v in r)
+            for name in ("reach_spectral", "reach_power", "pi4"):
+                assert 0.0 <= r[header.index(name)] <= 1.0
+
 
 class TestOtherExperiments:
     def test_multi_fa_runs(self, tmp_path):
@@ -231,3 +243,16 @@ class TestWriters:
         # grid helper hits both endpoints
         rows = int(round((spec.lambda_max - spec.lambda_min) / spec.lambda_step)) + 1
         assert rows == 31
+
+
+class TestModuleBoundary:
+    PRODUCTION = ("geometry", "single_fa", "multi_fa", "dtmc", "mc_oracle", "quadrature")
+
+    @pytest.mark.parametrize("module", PRODUCTION)
+    def test_does_not_import_tabulated(self, module):
+        # only the CLI may read the tabulated forms (for the reach_expansion column)
+        path = Path(__file__).parent.parent / "src" / "trackassoc" / f"{module}.py"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+                assert not [n for n in names if n.split(".")[-1] == "tabulated"], names

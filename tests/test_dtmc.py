@@ -1,12 +1,16 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trackassoc.dtmc import (AssocDTMC, DegenerateChainError, absorption_time_pmf,
                              build_chains, chain_power, consecutive_fa_chain,
                              expected_transient_visits, mean_intervisit,
-                             reach_probability, reach_probability_alt_form, stationary)
+                             reach_probability, stationary)
+from trackassoc.tabulated import reach_expansion, reach_probability_alt_form
 
 
 class TestChainMatrices:
@@ -48,6 +52,15 @@ class TestStationary:
             chain = AssocDTMC(p_fa=p)
             pi = stationary(chain)
             np.testing.assert_allclose(pi @ build_chains(chain).p2, pi, atol=1e-14)
+
+    @pytest.mark.parametrize("p", (1e-9, 1e-6, 1e-3, 0.05, 0.3, 0.9, 1.0 - 1e-9))
+    def test_matches_balance_solve(self, p):
+        # least-squares solve of pi (P2 - I) = 0 with sum(pi) = 1
+        chain = AssocDTMC(p_fa=p)
+        p2 = build_chains(chain).p2
+        a = np.vstack([p2.T - np.eye(4), np.ones(4)])
+        solved, *_ = np.linalg.lstsq(a, np.concatenate([np.zeros(4), [1.0]]), rcond=None)
+        np.testing.assert_allclose(stationary(chain), solved, rtol=0, atol=1e-12)
 
     def test_degenerate(self):
         with pytest.raises(DegenerateChainError):
@@ -119,6 +132,21 @@ class TestReachProbability:
             r = reach_probability(chain, n)
             assert abs(r.spectral - r.value) <= 1e-10
 
+    @settings(max_examples=300, deadline=None)
+    @example(p=1e-9, n=20)          # once -2.2e-16, from cancellation in 1 - sum
+    @example(p=1e-7, n=20)          # once 2e-3 relative error
+    @example(p=0.3, n=0)
+    @given(p=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+           n=st.integers(min_value=0, max_value=500))
+    def test_spectral_in_range_and_relatively_accurate(self, p, n):
+        # matrix powers add only nonnegative terms, so they are accurate to
+        # relative rounding; below the normal range (2.2e-308) no relative
+        # accuracy is possible
+        r = reach_probability(AssocDTMC(p_fa=p), n)
+        assert 0.0 <= r.spectral <= 1.0
+        if n >= 2:
+            assert abs(r.spectral - r.value) <= 1e-12 * r.value + sys.float_info.min
+
     @pytest.mark.parametrize("p", (0.05, 0.1, 0.3))
     def test_transient_block_spectral_reconstruction(self, p):
         # Q^n rebuilt from the two nonzero eigenvalues with left/right
@@ -147,8 +175,9 @@ class TestReachProbability:
         # the tabulated small-p expansion (n+1)p^2 + p/3 misses by O(p), not O(p^3):
         # its error at n=2 is 2p^2 + p/3 (FINDINGS.md); freeze that behaviour
         for p in (0.01, 0.05):
-            r = reach_probability(AssocDTMC(p_fa=p), 2)
-            assert r.expansion - r.value == pytest.approx(2 * p * p + p / 3.0, abs=5 * p**3)
+            chain = AssocDTMC(p_fa=p)
+            gap = reach_expansion(chain, 2) - reach_probability(chain, 2).value
+            assert gap == pytest.approx(2 * p * p + p / 3.0, abs=5 * p**3)
 
     def test_exact_small_p_leading_term(self):
         # true leading behaviour is (n-1) p^2
@@ -184,6 +213,17 @@ class TestExpectedTransientVisits:
     def test_infinite_for_zero_p(self):
         with pytest.raises(DegenerateChainError):
             expected_transient_visits(AssocDTMC(p_fa=0.0), (1.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("p", (1e-3, 0.01, 0.1, 0.5, 0.9))
+    def test_matches_fundamental_matrix_solve(self, p):
+        # (I - Q) t = 1 is ill conditioned (cond ~ 1/p^2), so compare only where
+        # the solve itself is accurate
+        q = 1.0 - p
+        qmat = np.array([[q, p, 0.0], [0.0, 0.0, q], [q, p, 0.0]])
+        solved = np.linalg.solve(np.eye(3) - qmat, np.ones(3))
+        chain = AssocDTMC(p_fa=p)
+        for i, start in enumerate(np.eye(3)):
+            assert expected_transient_visits(chain, start) == pytest.approx(solved[i], rel=1e-8)
 
     def test_pmf_sums_to_one(self):
         chain = AssocDTMC(p_fa=0.3)

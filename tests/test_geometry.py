@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from trackassoc.geometry import (GeometryError, ScanConfig, build_design, build_projector,
-                                 cross_alpha, cross_theta, diag_coeffs, leverage,
-                                 variance_polynomials)
+                                 cross_alpha, cross_theta, diag_coeffs, leverage)
 from trackassoc.geometry import _excluded_sums
+from trackassoc.tabulated import variance_polynomials
 
 GRID_N = (5, 10, 20, 40, 80)
 

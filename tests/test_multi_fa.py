@@ -9,6 +9,7 @@ from trackassoc.multi_fa import (FalseAssocSet, MomentParams, compound_density,
                                  moment_params, prob_chi2, prob_exponential, prob_normal)
 from trackassoc.quadrature import adaptive_integrate, gauss_hermite, normal_upper_tail
 from trackassoc.single_fa import conditional_law, exact_probability
+from trackassoc.tabulated import exponential_series, v1_variance_appendix, v1_variance_main
 
 CONFIG40 = ScanConfig(n_scans=40)
 
@@ -74,9 +75,9 @@ class TestMomentParams:
         # both tabulated s0^2 variants are far from the simulated variance of v1
         # (FINDINGS.md); the exact variant is the default for that reason
         fa = fa_last_k(2, 2.0)
-        exact = moment_params(fa, CONFIG40, s0_variant="exact").s0_sq
-        main = moment_params(fa, CONFIG40, s0_variant="main").s0_sq
-        appendix = moment_params(fa, CONFIG40, s0_variant="appendix").s0_sq
+        exact = moment_params(fa, CONFIG40).s0_sq
+        main = v1_variance_main(fa, CONFIG40)
+        appendix = v1_variance_appendix(fa, CONFIG40)
         assert main < 0.25 * exact
         assert appendix < 0.5 * exact
 
@@ -154,21 +155,19 @@ class TestProbExponential:
     def test_rate_half_equals_chi2_two_dof(self):
         fa = FalseAssocSet(indices=(40,), lambdas=(2.0,))
         mp = moment_params(fa, CONFIG40)
-        res = prob_exponential(mp, rate=0.5)
-        assert res.value == pytest.approx(prob_chi2(1, mp), abs=1e-6)
+        assert prob_exponential(mp, rate=0.5) == pytest.approx(prob_chi2(1, mp), abs=1e-6)
 
     def test_concentration_limit(self):
         mp = MomentParams(m0=-1.5, sigma0_sq=2.0, v0=4.0, s0_sq=8.0)
-        res = prob_exponential(mp, rate=1e7)
         target = float(normal_upper_tail(-1.5 / math.sqrt(2.0)))
-        assert res.value == pytest.approx(target, abs=1e-5)
+        assert prob_exponential(mp, rate=1e7) == pytest.approx(target, abs=1e-5)
 
     def test_series_reported_with_diagnostic(self):
         mp = moment_params(fa_last_k(2, 2.5), CONFIG40)
-        res = prob_exponential(mp, rate=0.5, series_terms=8)
-        assert res.series_diagnostic
+        series, diagnostic = exponential_series(mp, rate=0.5, series_terms=8)
+        assert diagnostic
         # the tabulated recursion does not reproduce the quadrature value
-        assert math.isnan(res.series_value) or abs(res.series_value - res.value) > 1e-3
+        assert math.isnan(series) or abs(series - prob_exponential(mp, rate=0.5)) > 1e-3
 
     def test_rejects_bad_rate(self):
         mp = MomentParams(-1.0, 1.0, 1.0, 1.0)

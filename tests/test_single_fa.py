@@ -7,11 +7,11 @@ from scipy.stats import kstest
 from trackassoc.geometry import ScanConfig, diag_coeffs
 from trackassoc.mc_oracle import TrialPlan, simulate_conditional, simulate_single_fa
 from trackassoc.quadrature import gauss_hermite, normal_upper_tail
-from trackassoc.single_fa import (RandomLambda, a_integral, b_integral,
-                                  closed_form_coefficients, closed_form_probability,
-                                  conditional_box_probability, conditional_law, eta_coeff,
-                                  exact_probability, first_order_probability, fit_gammas,
-                                  random_lambda_probability, reassembled_probability)
+from trackassoc.single_fa import (RandomLambda, closed_form_coefficients,
+                                  closed_form_probability, conditional_law, exact_probability,
+                                  first_order_probability, fit_gammas, random_lambda_probability)
+from trackassoc.tabulated import (a_integral, b_integral, conditional_box_probability,
+                                  eta_coeff, reassembled_probability)
 
 APPROX = fit_gammas(10)
 
