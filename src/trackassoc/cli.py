@@ -25,8 +25,6 @@ from . import mc_oracle, multi_fa, single_fa, tabulated
 from .geometry import ScanConfig
 from .quadrature import IntegrationError
 
-METHOD_ORDER = ("exact", "closed-form", "first-order", "chi2", "normal", "exponential", "mc")
-
 _DEFAULTS = dict(
     experiment="sweep-lambda",
     n_scans=40, dt=1.0, scan=0,                     # scan 0 means "last"
@@ -103,14 +101,12 @@ def _validate(spec: ExperimentSpec) -> ExperimentSpec:
         raise ConfigError("steps must be >= 0")
     if spec.jobs < 1:
         raise ConfigError("jobs must be >= 1")
-    defaults = EXPERIMENTS[spec.experiment].default_methods
-    methods = spec.methods or defaults
-    bad = [m for m in methods if m not in METHOD_ORDER]
+    experiment = EXPERIMENTS[spec.experiment]
+    methods = spec.methods or experiment.default_methods
+    bad = [m for m in methods if m not in experiment.methods]
     if bad:
-        raise ConfigError(f"unknown methods: {bad}")
-    if defaults and not methods:
-        raise ConfigError("methods must not be empty")
-    methods = tuple(m for m in METHOD_ORDER if m in methods)
+        raise ConfigError(f"experiment {spec.experiment!r} does not compute methods {bad}")
+    methods = tuple(m for m in experiment.methods if m in methods)
     scan = spec.scan or spec.n_scans
     if not 1 <= scan <= spec.n_scans:
         raise ConfigError("scan must lie in 1..n_scans")
@@ -149,8 +145,7 @@ def parse_config(path) -> ExperimentSpec:
                 values[key] = val
         except ValueError as exc:
             raise ConfigError(f"{path}:{ln}: bad value for {key}: {exc}") from exc
-    methods = tuple(m for m in values["methods"].split(",") if m) if values["methods"] else ()
-    values["methods"] = methods
+    values["methods"] = tuple(m for m in values["methods"].split(",") if m)
     try:
         return _validate(ExperimentSpec(**values))
     except ConfigError:
@@ -160,9 +155,7 @@ def parse_config(path) -> ExperimentSpec:
 
 
 def default_spec() -> ExperimentSpec:
-    values = dict(_DEFAULTS)
-    values["methods"] = ()
-    return _validate(ExperimentSpec(**values))
+    return _validate(ExperimentSpec(**{**_DEFAULTS, "methods": ()}))
 
 
 def _grid(lo, hi, step):
@@ -231,8 +224,11 @@ def _multi_fa_row(spec, approx, lam):
     config = ScanConfig(n_scans=spec.n_scans, dt=spec.dt)
     indices = tuple(range(spec.n_scans - spec.k + 1, spec.n_scans + 1))
     fa = multi_fa.FalseAssocSet(indices=indices, lambdas=(lam,) * spec.k)
-    mp = multi_fa.moment_params(fa, config)
+    compound = {"chi2", "normal", "exponential"} & set(spec.methods)
+    mp = multi_fa.moment_params(fa, config) if compound else None
     row = {}
+    if "exact" in spec.methods:
+        row["exact"] = multi_fa.exact_probability(fa, config)
     if "chi2" in spec.methods:
         row["chi2"] = multi_fa.prob_chi2(spec.k, mp)
     if "normal" in spec.methods:
@@ -263,17 +259,24 @@ class Experiment(NamedTuple):
     x_header: str
     grid: Callable        # spec -> x values
     row: Callable         # (spec, approx, x) -> {column: value}, in CSV order
+    methods: tuple        # every method the row function computes, in column order
     default_methods: tuple
 
 
+_SINGLE = ("exact", "closed-form", "first-order", "mc")
+
 EXPERIMENTS = {
-    "sweep-lambda": Experiment("lambda", _lambda_grid, _lambda_row, ("exact", "closed-form", "mc")),
-    "sweep-n": Experiment("n_scans", _n_grid, _n_row, ("exact", "closed-form", "mc")),
-    "first-order": Experiment("n_scans", _n_grid, _n_row, ("exact", "first-order")),
-    "random-lambda": Experiment("lambda0", _lambda_grid, _random_lambda_row, ("closed-form", "mc")),
-    "multi-fa": Experiment("lambda", _lambda_grid, _multi_fa_row, ("chi2", "normal", "mc")),
-    "dtmc": Experiment("p_fa", _p_fa_grid, _dtmc_row, ()),
-    "oracle-compare": Experiment("lambda", _lambda_grid, _lambda_row, ("exact", "mc")),
+    "sweep-lambda": Experiment("lambda", _lambda_grid, _lambda_row, _SINGLE,
+                               ("exact", "closed-form", "mc")),
+    "sweep-n": Experiment("n_scans", _n_grid, _n_row, _SINGLE, ("exact", "closed-form", "mc")),
+    "first-order": Experiment("n_scans", _n_grid, _n_row, _SINGLE, ("exact", "first-order")),
+    "random-lambda": Experiment("lambda0", _lambda_grid, _random_lambda_row,
+                                ("closed-form", "mc"), ("closed-form", "mc")),
+    "multi-fa": Experiment("lambda", _lambda_grid, _multi_fa_row,
+                           ("exact", "chi2", "normal", "exponential", "mc"),
+                           ("chi2", "normal", "mc")),
+    "dtmc": Experiment("p_fa", _p_fa_grid, _dtmc_row, (), ()),
+    "oracle-compare": Experiment("lambda", _lambda_grid, _lambda_row, _SINGLE, ("exact", "mc")),
 }
 
 
@@ -294,9 +297,7 @@ def _experiment_rows(spec: ExperimentSpec):
 
 
 def write_csv(path, header, table):
-    lines = [",".join(header)]
-    for row in table:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in table]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -16,7 +16,8 @@ over m1 ~ N(m0, sigma0^2) and a chosen law for v1 gives
 evaluated here for a chi-square, a normal, and an exponential v1 law. The
 moment parameters are the exact first two moments of m1 and v1 under
 e_k ~ N(0, I2); the tabulated variants that disagree with the Monte Carlo
-moment oracle live in :mod:`trackassoc.tabulated` and FINDINGS.md.
+moment oracle live in :mod:`trackassoc.tabulated` and FINDINGS.md. The exact
+value for any decoy set, their reference, is ``exact_probability``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .geometry import GeometryError, ScanConfig, cross_alpha, cross_theta
+from .geometry import ScanConfig, cross_alpha, cross_theta
 from .quadrature import adaptive_integrate, normal_upper_tail
 
 
@@ -42,6 +43,8 @@ class FalseAssocSet:
     def __post_init__(self):
         idx = tuple(int(i) for i in self.indices)
         lams = tuple(float(x) for x in self.lambdas)
+        if idx != tuple(self.indices):
+            raise ValueError("indices must be integers")
         if len(idx) < 1:
             raise ValueError("need at least one contaminated scan")
         if len(idx) != len(lams):
@@ -66,14 +69,42 @@ class MomentParams:
     s0_sq: float
 
 
+def _alpha_matrix(fa: FalseAssocSet, config: ScanConfig) -> np.ndarray:
+    """K x K matrix of projector-block scalars (geometry.cross_alpha)."""
+    return np.array([[cross_alpha(a, b, config) for b in fa.indices] for a in fa.indices])
+
+
 def coefficient_matrices(fa: FalseAssocSet, config: ScanConfig):
     """K x K matrices of projector-block (A) and Phi-block (Th) scalars."""
     idx = fa.indices
-    if idx[-1] > config.n_scans:
-        raise GeometryError("contaminated index beyond the last scan")
-    A = np.array([[cross_alpha(a, b, config) for b in idx] for a in idx])
     Th = np.array([[cross_theta(a, b, idx, config) for b in idx] for a in idx])
-    return A, Th
+    return _alpha_matrix(fa, config), Th
+
+
+def exact_probability(fa: FalseAssocSet, config: ScanConfig) -> float:
+    """P(cost difference >= 0) for any decoy set; config supplies only the geometry.
+
+    Per coordinate Q = -e'Ae + d'Ad + 2(e + d)'B^(1/2) z, e, z ~ N(0, I), with A as in
+    ``coefficient_matrices``, B = Th = A - A^2 (M is idempotent) and d the offsets
+    (0 in x, fa.lambdas in y). With (a_j, U) = eigh(A) and d_j = (U' lambdas)_j the
+    x and y halves multiply to phi(t) = prod_j exp(d_j^2 a_j t (i - 2t) / D_j) / D_j,
+    D_j = 1 + 2i a_j t + 4 a_j (1 - a_j) t^2, and Gil-Pelaez (Imhof 1961) gives
+    P(Q >= 0) = 1/2 + (1/pi) * integral_0^inf Im phi(t) / t dt, taken in s = log t.
+    """
+    a, U = np.linalg.eigh(_alpha_matrix(fa, config))
+    # A is a principal block of a projector, so a_j lies in [0, 1]; a rounded
+    # a_j above 1 would make a_j (1 - a_j) < 0 and |phi| grow without bound
+    a = np.clip(a, 0.0, 1.0)
+    d2 = (U.T @ np.asarray(fa.lambdas)) ** 2
+
+    def im_phi(s):
+        t = np.exp(s)[:, None]
+        D = 1.0 + 2j * a * t + 4.0 * a * (1.0 - a) * t * t
+        return np.exp((d2 * a * t * (1j - 2.0 * t) / D - np.log(D)).sum(axis=1)).imag
+
+    # Im phi(e^s) is ~E[Q] e^s as s -> -inf and O(e^(-2s)) as s -> inf: |s| <= 50 suffices
+    val, _ = adaptive_integrate(im_phi, -50.0, 50.0, abs_tol=1e-12)
+    return min(max(0.5 + val / math.pi, 0.0), 1.0)
 
 
 def moment_params(fa: FalseAssocSet, config: ScanConfig) -> MomentParams:

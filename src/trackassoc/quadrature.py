@@ -71,8 +71,8 @@ def adaptive_integrate(f, a, b, abs_tol=1e-10, max_depth=48):
 
     ``f`` must accept ndarray input. Refinement is by interval bisection with an
     embedded 7/15-point Gauss pair as the local error estimate. Returns
-    (value, error_estimate). Raises IntegrationError (carrying the best
-    estimate) if the tolerance is not met at the maximum bisection depth.
+    (value, error_estimate). Raises IntegrationError (carrying the best estimate)
+    if the tolerance is not met at the maximum bisection depth or f is not finite.
     """
     if not b > a:
         raise ValueError("integration interval must satisfy b > a")
@@ -86,6 +86,8 @@ def adaptive_integrate(f, a, b, abs_tol=1e-10, max_depth=48):
     while stack:
         lo, hi, depth = stack.pop()
         val, err = _panel(f, lo, hi)
+        if not np.isfinite(val + err):  # bisecting would go on to max_depth everywhere
+            raise IntegrationError("integrand is not finite", val, err)
         if err <= abs_tol * (hi - lo) / (b - a) or err <= 1e-16 * abs(val):
             total += val
             err_total += err

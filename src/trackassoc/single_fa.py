@@ -7,8 +7,8 @@ measurement at scan l, conditioned on the scan-l noise e = (x, y), is Gaussian:
     variance = 4 * beta * |e - fa|^2,        fa = (0, -lam),
 
 with alpha, beta from :mod:`trackassoc.geometry`. The exact probability of
-correct association integrates the resulting normal tail over e ~ N(0, I2)
-(``exact_probability``). The closed-form shortcuts approximate that integral by
+correct association averages that normal tail over e ~ N(0, I2) (computed by
+:mod:`trackassoc.multi_fa`). The closed-form shortcuts approximate it by
 replacing the conditional normal density with a least-squares staircase of
 nested boxes (``fit_gammas``) and expanding the resulting acceptance-region
 integrals (:mod:`trackassoc.tabulated`); they are reproduced here exactly as
@@ -23,8 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import multi_fa
 from .geometry import ScanConfig, diag_coeffs
-from .quadrature import IntegrationError, normal_upper_tail
+from .quadrature import normal_upper_tail
 
 
 @dataclass(frozen=True)
@@ -67,45 +68,9 @@ def conditional_law(e_l, l, config: ScanConfig) -> CostDiffLaw:
     return CostDiffLaw(mean=mean, variance=variance)
 
 
-def _prob_polar(alpha, beta, lam, order):
-    """Quadrature for E[upper tail] in polar coordinates centred on the false point.
-
-    With e = fa + rho*(cos phi, sin phi) the tail argument is linear,
-    psi = -alpha (rho - 2 lam sin phi) / (2 sqrt(beta)), so the integrand is
-    smooth everywhere (in Cartesian coordinates it has a bounded discontinuity
-    at e = fa that defeats tensor quadrature).
-    """
-    nr = 4 * order
-    na = 4 * order
-    rmax = lam + 16.0
-    t, w = np.polynomial.legendre.leggauss(nr)
-    rho = 0.5 * rmax * (t + 1.0)
-    wr = 0.5 * rmax * w
-    phi = (np.arange(na) + 0.5) * (2.0 * np.pi / na)
-    R, P = np.meshgrid(rho, phi, indexing="ij")
-    s = np.sin(P)
-    psi = -alpha * (R - 2.0 * lam * s) / (2.0 * math.sqrt(beta))
-    logw = -0.5 * (R - lam * s) ** 2 - 0.5 * (lam * np.cos(P)) ** 2
-    vals = normal_upper_tail(psi) * np.exp(logw) * R
-    return float((vals * wr[:, None]).sum() / na)
-
-
-def exact_probability(l, config: ScanConfig, order: int = 48) -> float:
-    """P(cost difference >= 0) by 2-D quadrature of the conditional normal tail.
-
-    Escalates the quadrature order once (order -> 2*order) and requires 1e-6
-    agreement; raises IntegrationError carrying the best estimate otherwise.
-    """
-    c = diag_coeffs(l, config)
-    coarse = _prob_polar(c.alpha, c.beta, config.lam, order)
-    fine = _prob_polar(c.alpha, c.beta, config.lam, 2 * order)
-    if abs(fine - coarse) > 1e-6:
-        finer = _prob_polar(c.alpha, c.beta, config.lam, 4 * order)
-        if abs(finer - fine) > 1e-6:
-            raise IntegrationError("probability quadrature did not converge",
-                                   finer, abs(finer - fine))
-        fine = finer
-    return min(max(fine, 0.0), 1.0)
+def exact_probability(l, config: ScanConfig) -> float:
+    """Exact P(cost difference >= 0) for one decoy at scan l; see multi_fa.exact_probability."""
+    return multi_fa.exact_probability(multi_fa.FalseAssocSet((l,), (config.lam,)), config)
 
 
 # ---------------------------------------------------------------------------

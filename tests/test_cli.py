@@ -73,6 +73,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(cfg)
 
+    @pytest.mark.parametrize("text", ["experiment=dtmc\nmethods=exact,mc\np_fa=0.1\n",
+                                      "experiment=random-lambda\nmethods=exact\n",
+                                      "experiment=sweep-lambda\nmethods=chi2\n"],
+                             ids=["dtmc", "random-lambda", "sweep-lambda"])
+    def test_method_the_experiment_does_not_compute(self, tmp_path, capsys, text):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(text)
+        with pytest.raises(ConfigError, match="does not compute"):
+            parse_config(cfg)
+        assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "config error" in capsys.readouterr().err
+
 
 class TestSweepLambda:
     def test_full_grid_against_oracle(self, tmp_path):
@@ -156,6 +168,33 @@ class TestOtherExperiments:
         assert header[:3] == ["lambda", "chi2", "normal"]
         for r in rows:
             assert abs(r[1] - r[3]) <= 0.1    # chi2 vs mc
+
+    def test_multi_fa_exact_against_oracle(self, tmp_path):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("experiment=multi-fa\nk=4\ntrials=20000\nmethods=mc,exact\n"
+                       "lambda_min=1.0\nlambda_max=3.0\nlambda_step=1.0\n")
+        assert run(parse_config(cfg), tmp_path) == 0
+        header, rows = read_csv(tmp_path / "multi-fa.csv")
+        assert header == ["lambda", "exact", "mc_p", "mc_stderr"]
+        for _, exact, p_hat, stderr in rows:
+            assert abs(exact - p_hat) <= 4 * stderr
+
+    def test_multi_fa_moments_only_for_compound_laws(self, tmp_path, monkeypatch):
+        import trackassoc.cli as cli_mod
+
+        calls = []
+        moment_params = cli_mod.multi_fa.moment_params
+        monkeypatch.setattr(cli_mod.multi_fa, "moment_params",
+                            lambda *a: calls.append(a) or moment_params(*a))
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("experiment=multi-fa\nk=3\ntrials=100\nmethods=exact,mc\n"
+                       "lambda_min=1.0\nlambda_max=2.0\nlambda_step=1.0\n")
+        assert run(parse_config(cfg), tmp_path) == 0
+        assert calls == []
+        cfg.write_text("experiment=multi-fa\nk=3\nmethods=exact,chi2\n"
+                       "lambda_min=1.0\nlambda_max=2.0\nlambda_step=1.0\n")
+        assert run(parse_config(cfg), tmp_path) == 0
+        assert len(calls) == 2
 
     def test_random_lambda_runs(self, tmp_path):
         cfg = tmp_path / "r.cfg"

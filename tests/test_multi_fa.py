@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trackassoc.geometry import ScanConfig, cross_alpha, diag_coeffs
 from trackassoc.mc_oracle import TrialPlan, simulate_multi_fa
-from trackassoc.multi_fa import (FalseAssocSet, MomentParams, compound_density,
-                                 moment_params, prob_chi2, prob_exponential, prob_normal)
+from trackassoc.multi_fa import (FalseAssocSet, MomentParams, coefficient_matrices,
+                                 compound_density, exact_probability, moment_params,
+                                 prob_chi2, prob_exponential, prob_normal)
 from trackassoc.quadrature import adaptive_integrate, gauss_hermite, normal_upper_tail
-from trackassoc.single_fa import conditional_law, exact_probability
+from trackassoc.single_fa import conditional_law
 from trackassoc.tabulated import exponential_series, v1_variance_appendix, v1_variance_main
 
 CONFIG40 = ScanConfig(n_scans=40)
@@ -30,6 +33,8 @@ class TestFalseAssocSet:
             FalseAssocSet(indices=(1, 2), lambdas=(1.0,))
         with pytest.raises(ValueError):
             FalseAssocSet(indices=(1,), lambdas=(-1.0,))
+        with pytest.raises(ValueError):
+            FalseAssocSet(indices=(1.5,), lambdas=(1.0,))
 
     def test_k(self):
         assert fa_last_k(3, 2.0).k == 3
@@ -89,6 +94,76 @@ class TestMomentParams:
         fa = FalseAssocSet(indices=(41,), lambdas=(1.0,))
         with pytest.raises(Exception):
             moment_params(fa, CONFIG40)
+
+
+class TestCoefficientMatrices:
+    @pytest.mark.parametrize("indices", [(1,), (20,), (40,), (10, 25, 33),
+                                         tuple(range(33, 41)), tuple(range(2, 41))])
+    def test_phi_block_is_alpha_minus_its_square(self, indices):
+        # M is idempotent; exact_probability rests on this identity
+        A, Th = coefficient_matrices(FalseAssocSet(indices, (1.0,) * len(indices)), CONFIG40)
+        np.testing.assert_allclose(Th, A - A @ A, rtol=0.0, atol=1e-12)
+
+
+@st.composite
+def decoy_sets(draw):
+    """Scan count, decoy index set and offsets, anywhere in the domain the CLI accepts."""
+    n = draw(st.integers(min_value=5, max_value=200))
+    k = draw(st.integers(min_value=1, max_value=n - 1))
+    order = draw(st.permutations(range(1, n + 1)))
+    offsets = draw(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=k, max_size=k))
+    return n, tuple(sorted(order[:k])), offsets
+
+
+class TestExactProbability:
+    @pytest.mark.parametrize("k", (2, 4, 8))
+    @pytest.mark.parametrize("lam", (1.0, 2.0, 3.0))
+    def test_matches_oracle(self, k, lam):
+        fa = fa_last_k(k, lam)
+        est, _ = simulate_multi_fa(TrialPlan(trials=200_000, seed=5, config=CONFIG40, fa=fa))
+        assert abs(exact_probability(fa, CONFIG40) - est.p_hat) <= 4 * est.stderr
+
+    @pytest.mark.parametrize("n,indices,lambdas", [(5, (1, 2, 3, 4), (0.0, 0.0, 0.0, 3.0)),
+                                                   (40, (10, 25, 40), (1.5, 2.5, 3.5)),
+                                                   (40, (36, 37, 38, 39, 40), (0, 3, 0, 3, 0))])
+    def test_unequal_offsets_match_oracle(self, n, indices, lambdas):
+        # unequal offsets reach the eigenvectors of A with eigenvalue 1
+        fa, config = FalseAssocSet(indices, lambdas), ScanConfig(n_scans=n)
+        est, _ = simulate_multi_fa(TrialPlan(trials=200_000, seed=5, config=config, fa=fa))
+        assert abs(exact_probability(fa, config) - est.p_hat) <= 4 * est.stderr
+
+    @pytest.mark.parametrize("k,exact,chi2,normal,exponential", [
+        (2, 0.817628, 0.817633, 0.799591, 0.805363),
+        (4, 0.747111, 0.762310, 0.731512, 0.741614),
+        (8, 0.452272, 0.427050, 0.437305, 0.433098)])
+    def test_compound_law_gaps(self, k, exact, chi2, normal, exponential):
+        # the gaps of the compound laws to the exact value listed in FINDINGS.md
+        fa = fa_last_k(k, 2.0)
+        mp = moment_params(fa, CONFIG40)
+        assert exact_probability(fa, CONFIG40) == pytest.approx(exact, abs=1e-6)
+        assert prob_chi2(k, mp) == pytest.approx(chi2, abs=1e-6)
+        assert prob_normal(mp).value == pytest.approx(normal, abs=1e-6)
+        assert prob_exponential(mp, rate=1.0 / mp.v0) == pytest.approx(exponential, abs=1e-6)
+
+    def test_another_decoy_can_raise_the_probability(self):
+        # P(K+1) <= P(K) is not a property of the model (FINDINGS.md)
+        vals = [exact_probability(fa_last_k(k, 3.0), CONFIG40) for k in (1, 2, 3)]
+        np.testing.assert_allclose(vals, [0.977339, 0.987933, 0.989295], atol=1e-6)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=decoy_sets(), scales=st.lists(st.floats(min_value=0.0, max_value=1.0),
+                                              min_size=2, max_size=2))
+    @example(case=(200, tuple(range(2, 201)), [10.0] * 199), scales=[0.95, 1.0])
+    @example(case=(5, (1, 2, 3, 4), [0.0, 0.0, 0.0, 10.0]), scales=[0.0, 1.0])
+    def test_in_range_and_monotone_in_distance(self, case, scales):
+        # one factor scales every offset: all decoys move away together
+        n, indices, offsets = case
+        config = ScanConfig(n_scans=n)
+        near, far = (exact_probability(FalseAssocSet(indices, [x * s for x in offsets]), config)
+                     for s in sorted(scales))
+        assert math.isfinite(near) and math.isfinite(far)
+        assert 0.0 <= near <= 1.0 and 0.0 <= far <= 1.0
+        assert far >= near - 1e-12
 
 
 class TestProbChi2:
@@ -223,6 +298,6 @@ class TestSingleScanConsistency:
         config = ScanConfig(n_scans=40, lam=lam)
         fa = FalseAssocSet(indices=(40,), lambdas=(lam,))
         mp = moment_params(fa, CONFIG40)
-        exact = exact_probability(40, config)
+        exact = exact_probability(fa, config)
         assert abs(prob_chi2(1, mp) - exact) <= tol
         assert abs(prob_normal(mp).value - exact) <= tol

@@ -121,6 +121,12 @@ class TestAdaptiveIntegrate:
         assert math.isfinite(exc.value.estimate)
         assert exc.value.error_bound > 0
 
+    def test_nonfinite_integrand_raises(self):
+        # a nan panel never meets the tolerance; at the default depth bisecting it
+        # would take 2^48 panels
+        with pytest.raises(IntegrationError, match="not finite"):
+            adaptive_integrate(lambda x: np.where(x > 0.5, np.nan, 1.0), 0.0, 1.0, max_depth=12)
+
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             adaptive_integrate(np.exp, 1.0, 1.0)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.stats import kstest
 
 from trackassoc.geometry import ScanConfig, diag_coeffs
@@ -40,20 +41,35 @@ class TestConditionalLaw:
         assert pvalue > 0.01
 
 
+def polar_oracle(l, config):
+    """E[upper tail of conditional_law] over e ~ N(0, I2), by scipy in polar
+    coordinates about the decoy, where the tail argument is smooth."""
+    lam = config.lam
+
+    def f(rho, phi):
+        x, y = rho * math.cos(phi), -lam + rho * math.sin(phi)
+        law = conditional_law((x, y), l, config)
+        tail = float(normal_upper_tail(-law.mean / math.sqrt(law.variance)))
+        return tail * math.exp(-0.5 * (x * x + y * y)) * rho / (2.0 * math.pi)
+
+    val, _ = integrate.dblquad(f, 0.0, 2.0 * math.pi, 0.0, math.inf,
+                               epsabs=1e-12, epsrel=1e-12)
+    return val
+
+
 class TestExactProbability:
     def test_far_decoy(self):
         assert exact_probability(40, ScanConfig(n_scans=40, lam=8.0)) >= 0.999
 
-    @pytest.mark.parametrize("n,lam", [(20, 1.0), (20, 2.0), (20, 3.0),
-                                       (40, 1.0), (40, 2.0), (40, 3.0)])
-    def test_order_self_consistency(self, n, lam):
+    @pytest.mark.parametrize("n,l,lam", [(20, 20, 1.0), (20, 20, 2.0), (20, 20, 3.0),
+                                         (40, 40, 1.0), (40, 40, 2.0), (40, 40, 3.0),
+                                         (20, 20, 1.5), (100, 50, 2.5), (10, 3, 0.5)])
+    def test_matches_polar_oracle(self, n, l, lam):
         config = ScanConfig(n_scans=n, lam=lam)
-        a = exact_probability(n, config, order=32)
-        b = exact_probability(n, config, order=64)
-        assert abs(a - b) <= 1e-6
+        assert abs(exact_probability(l, config) - polar_oracle(l, config)) <= 1e-9
 
     def test_monotone_in_distance(self):
-        vals = [exact_probability(20, ScanConfig(n_scans=20, lam=lam), order=24)
+        vals = [exact_probability(20, ScanConfig(n_scans=20, lam=lam))
                 for lam in np.arange(1.0, 6.001, 0.1)]
         diffs = np.diff(vals)
         assert (diffs >= -1e-12).all()
@@ -66,19 +82,13 @@ class TestExactProbability:
     def test_flat_in_scan_index(self):
         # the probability barely depends on which scan is contaminated
         config = ScanConfig(n_scans=40, lam=2.0)
-        ref = exact_probability(40, config, order=24)
-        vals = [exact_probability(l, config, order=24) for l in range(1, 41)]
+        ref = exact_probability(40, config)
+        vals = [exact_probability(l, config) for l in range(1, 41)]
         assert max(abs(v - ref) for v in vals) <= 0.03
 
-    def test_nonconvergence_raises_with_estimate(self, monkeypatch):
-        from trackassoc import single_fa as mod
-        from trackassoc.quadrature import IntegrationError
-
-        calls = iter([0.5, 0.6, 0.7])
-        monkeypatch.setattr(mod, "_prob_polar", lambda *a: next(calls))
-        with pytest.raises(IntegrationError) as exc:
-            exact_probability(20, ScanConfig(n_scans=20, lam=2.0))
-        assert exc.value.estimate == 0.7
+    def test_rejects_fractional_scan(self):
+        with pytest.raises(ValueError):
+            exact_probability(2.5, ScanConfig(n_scans=20, lam=2.0))
 
     def test_cross_method_cartesian_expectation(self):
         # Gauss-Hermite expectation of the conditional tail in Cartesian noise
@@ -224,7 +234,7 @@ class TestFirstOrder:
 
     def test_tracks_exact_shape(self):
         ns = list(range(10, 41, 2))
-        exact = [exact_probability(n, ScanConfig(n_scans=n, lam=2.0), order=24) for n in ns]
+        exact = [exact_probability(n, ScanConfig(n_scans=n, lam=2.0)) for n in ns]
         fo = [first_order_probability(n, ScanConfig(n_scans=n, lam=2.0), APPROX) for n in ns]
         corr = np.corrcoef(np.diff(exact), np.diff(fo))[0, 1]
         assert corr > 0.9
