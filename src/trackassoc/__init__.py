@@ -19,8 +19,8 @@ from .multi_fa import (FalseAssocSet, MomentParams, compound_density, moment_par
 from .dtmc import (AssocDTMC, ChainMatrices, build_chains, chain_power,
                    consecutive_fa_chain, expected_transient_visits, mean_intervisit,
                    reach_probability, stationary)
-from .mc_oracle import (McEstimate, TrialPlan, simulate_dtmc, simulate_multi_fa,
-                        simulate_single_fa)
+from .mc_oracle import (McEstimate, MomentSample, TrialPlan, sample_moments, simulate_dtmc,
+                        simulate_multi_fa, simulate_single_fa)
 from .quadrature import IntegrationError, adaptive_integrate, gauss_hermite, normal_upper_tail
 
 __version__ = "0.1.0"

@@ -188,12 +188,7 @@ def _single_row(spec, approx, lam, n_scans, scan):
         row["closed_form"] = single_fa.closed_form_probability(scan, config, approx).value
     if "first-order" in spec.methods:
         row["first_order"] = single_fa.first_order_probability(scan, config, approx)
-    if "mc" in spec.methods:
-        plan = mc_oracle.TrialPlan(trials=spec.trials, seed=spec.seed,
-                                   config=config, scan=scan)
-        est = mc_oracle.simulate_single_fa(plan)
-        row["mc_p"], row["mc_stderr"] = est.p_hat, est.stderr
-    return row
+    return row, mc_oracle.TrialPlan(trials=spec.trials, seed=spec.seed, config=config, scan=scan)
 
 
 def _lambda_row(spec, approx, lam):
@@ -212,12 +207,8 @@ def _random_lambda_row(spec, approx, lam0):
     row = {}
     if "closed-form" in spec.methods:
         row["closed_form"] = single_fa.random_lambda_probability(rl, spec.scan, config, approx)
-    if "mc" in spec.methods:
-        plan = mc_oracle.TrialPlan(trials=spec.trials, seed=spec.seed,
-                                   config=config, scan=spec.scan, random_lambda=rl)
-        est = mc_oracle.simulate_single_fa(plan)
-        row["mc_p"], row["mc_stderr"] = est.p_hat, est.stderr
-    return row
+    return row, mc_oracle.TrialPlan(trials=spec.trials, seed=spec.seed, config=config,
+                                    scan=spec.scan, random_lambda=rl)
 
 
 def _multi_fa_row(spec, approx, lam):
@@ -235,11 +226,7 @@ def _multi_fa_row(spec, approx, lam):
         row["normal"] = multi_fa.prob_normal(mp).value
     if "exponential" in spec.methods:
         row["exponential"] = multi_fa.prob_exponential(mp, rate=1.0 / mp.v0)
-    if "mc" in spec.methods:
-        plan = mc_oracle.TrialPlan(trials=spec.trials, seed=spec.seed, config=config, fa=fa)
-        est, _ = mc_oracle.simulate_multi_fa(plan)
-        row["mc_p"], row["mc_stderr"] = est.p_hat, est.stderr
-    return row
+    return row, mc_oracle.TrialPlan(trials=spec.trials, seed=spec.seed, config=config, fa=fa)
 
 
 def _dtmc_row(spec, approx, p):
@@ -252,13 +239,13 @@ def _dtmc_row(spec, approx, p):
         "pi4": float(dtmc_mod.stationary(chain)[3]) if 0 < p < 1 else p * p,
         "expected_visits": dtmc_mod.expected_transient_visits(
             chain, (1.0, 0.0, 0.0)) if p > 0 else float("inf"),
-    }
+    }, None
 
 
 class Experiment(NamedTuple):
     x_header: str
     grid: Callable        # spec -> x values
-    row: Callable         # (spec, approx, x) -> {column: value}, in CSV order
+    row: Callable         # (spec, approx, x) -> ({column: value} in CSV order, TrialPlan)
     methods: tuple        # every method the row function computes, in column order
     default_methods: tuple
 
@@ -281,16 +268,25 @@ EXPERIMENTS = {
 
 
 def _experiment_rows(spec: ExperimentSpec):
-    """(header, rows) for the experiment; rows are lists of floats led by x."""
+    """(header, rows) for the experiment; rows are lists of floats led by x.
+
+    The row functions compute the analytic columns; the Monte Carlo columns
+    come last, from one simulator call over the plans of the whole grid.
+    """
     experiment = EXPERIMENTS[spec.experiment]
     approx = single_fa.fit_gammas(spec.n_steps, spec.support_k)
     xs = experiment.grid(spec)
     row_fn = partial(experiment.row, spec, approx)
     if spec.jobs > 1:
         with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-            rows = list(pool.map(row_fn, xs))
+            rows, plans = zip(*pool.map(row_fn, xs))
     else:
-        rows = [row_fn(x) for x in xs]
+        rows, plans = zip(*[row_fn(x) for x in xs])
+    if "mc" in spec.methods:
+        simulate = (mc_oracle.simulate_multi_fa if plans[0].fa is not None
+                    else mc_oracle.simulate_single_fa)
+        for row, est in zip(rows, simulate(*plans)):
+            row["mc_p"], row["mc_stderr"] = est.p_hat, est.stderr
     columns = list(rows[0])
     table = [[x] + [row[c] for c in columns] for x, row in zip(xs, rows)]
     return [experiment.x_header] + columns, table

@@ -8,6 +8,12 @@ or thread count. Costs are evaluated through the dense residual projector --
 never through the closed-form coefficients under test -- and the brute-force
 least-squares route is cross-checked in the test suite.
 
+The simulators take every plan of a grid at once and draw each distinct
+stream once: plans with the same seed, trial count and epoch count (and the
+same choice of a random offset) read identical noise, so every grid point is
+evaluated inside each chunk of one shared pass (common random numbers). The
+counts are those of one call per plan, bit for bit.
+
 The kinematic state cancels from the cost difference (the projector annihilates
 the design matrix), so it is computed from the noise alone; the tests check this
 against full least-squares fits of a moving target.
@@ -84,28 +90,31 @@ def _words_to_normals(words):
     return z
 
 
-def _trial_words(config, with_lambda):
-    raw = 2 * config.epochs + (2 if with_lambda else 0)
+def _trial_words(epochs, with_lambda):
+    raw = 2 * epochs + (2 if with_lambda else 0)
     return ((raw + 3) // 4) * 4
 
 
-def _noise_chunks(plan, with_lambda, chunk_size):
-    """Yield (noise matrix, lambda draws) per chunk, trial-indexed streams."""
-    width = _trial_words(plan.config, with_lambda)
-    dim = 2 * plan.config.epochs
+def _noise_chunks(seed, trials, epochs, with_lambda, chunk_size):
+    """Yield (noise matrix, raw lambda draw z or None) per chunk, trial-indexed streams."""
+    width = _trial_words(epochs, with_lambda)
+    dim = 2 * epochs
     done = 0
-    while done < plan.trials:
-        count = min(chunk_size, plan.trials - done)
-        words = _philox_words(plan.seed, 0, done * width, count * width)
+    while done < trials:
+        count = min(chunk_size, trials - done)
+        words = _philox_words(seed, 0, done * width, count * width)
         block = words.reshape(count, width)
         noise = _words_to_normals(block[:, :dim].ravel()).reshape(count, dim)
-        lam_draws = None
+        z = None
         if with_lambda:
             z = _words_to_normals(block[:, dim:dim + 2].ravel()).reshape(count, 2)[:, 0]
-            rl = plan.random_lambda
-            lam_draws = rl.lambda0 + rl.sigma0 * z
-        yield noise, lam_draws
+        yield noise, z
         done += count
+
+
+def _stream(plan, with_lambda):
+    """The noise stream a plan reads, as the leading arguments of ``_noise_chunks``."""
+    return plan.seed, plan.trials, plan.config.epochs, with_lambda
 
 
 def _estimate(successes, trials):
@@ -130,46 +139,104 @@ def _delta_for_chunk(noise, indices, lam_per_scan, projector):
     return qmq + 2.0 * qme
 
 
-def simulate_single_fa(plan: TrialPlan, chunk_size: int = _DEFAULT_CHUNK) -> McEstimate:
-    """Estimate P(cost difference >= 0) for one contaminated scan.
+def _count_stream(stream, members, chunk_size, hits):
+    """Add to hits[i] the trials of the stream where plan i's cost difference is >= 0.
 
-    The decoy sits at (x_l, y_l - lam); lam is plan.config.lam, or drawn per
-    trial when plan.random_lambda is set.
+    members are (i, plan, delta) with delta(noise, z, projector) -> the cost
+    differences of one chunk. Each plan's projector is built before the noise
+    is drawn; one call per stream, so no chunk outlives its stream.
     """
+    projectors = [build_projector(plan.config).projector for _, plan, _ in members]
+    for noise, z in _noise_chunks(*stream, chunk_size):
+        for (i, _, delta), projector in zip(members, projectors):
+            hits[i] += int((delta(noise, z, projector) >= 0.0).sum())
+
+
+def _simulate(plans, member, chunk_size):
+    """One McEstimate per plan; plans that read the same stream share one pass of it.
+
+    member(plan) validates the plan and returns (stream, delta); every plan is
+    validated before any noise is drawn.
+    """
+    streams = {}
+    for i, plan in enumerate(plans):
+        stream, delta = member(plan)
+        streams.setdefault(stream, []).append((i, plan, delta))
+    hits = [0] * len(plans)
+    for stream, group in streams.items():
+        _count_stream(stream, group, chunk_size, hits)
+    return [_estimate(h, plan.trials) for h, plan in zip(hits, plans)]
+
+
+def _single_member(plan):
     l = plan.scan if plan.scan is not None else plan.config.n_scans
     if not 1 <= l <= plan.config.n_scans:
         raise ValueError("scan index outside 1..n_scans")
-    projector = build_projector(plan.config).projector
-    with_lambda = plan.random_lambda is not None
-    hits = 0
-    for noise, lam_draws in _noise_chunks(plan, with_lambda, chunk_size):
-        if lam_draws is None:
+    rl = plan.random_lambda
+
+    def delta(noise, z, projector):
+        if rl is None:
             lam_col = np.full((noise.shape[0], 1), plan.config.lam)
         else:
-            lam_col = lam_draws[:, None]
-        delta = _delta_for_chunk(noise, [l], lam_col, projector)
-        hits += int((delta >= 0.0).sum())
-    return _estimate(hits, plan.trials)
+            lam_col = (rl.lambda0 + rl.sigma0 * z)[:, None]
+        return _delta_for_chunk(noise, [l], lam_col, projector)
+
+    return _stream(plan, rl is not None), delta
 
 
-def simulate_multi_fa(plan: TrialPlan, chunk_size: int = _DEFAULT_CHUNK):
-    """Estimate the multi-contamination probability plus (m1, v1) moment samples.
+def simulate_single_fa(*plans: TrialPlan,
+                       chunk_size: int = _DEFAULT_CHUNK) -> list[McEstimate]:
+    """Estimate P(cost difference >= 0) for one contaminated scan, per plan.
 
-    Returns (McEstimate, MomentSample). m1 and v1 are evaluated from the dense
-    projector blocks, keeping the oracle independent of the closed-form sums it
-    validates. A single contaminated scan reduces exactly to simulate_single_fa
-    (same stream, same counts).
+    The decoy sits at (x_l, y_l - lam); lam is plan.config.lam, or drawn per
+    trial when plan.random_lambda is set. Returns one McEstimate per plan, in
+    order; every plan is validated before any noise is drawn, and each distinct
+    noise stream (seed, trials, epochs, random lambda or not) is drawn once.
     """
+    return _simulate(plans, _single_member, chunk_size)
+
+
+def _check_multi(plan):
     if plan.fa is None:
         raise ValueError("multi-contamination plan needs plan.fa")
-    fa = plan.fa
-    if fa.indices[-1] > plan.config.n_scans:
+    if plan.fa.indices[-1] > plan.config.n_scans:
         raise ValueError("contaminated index beyond the last scan")
-    geom = build_projector(plan.config)
-    projector = geom.projector
+
+
+def _multi_member(plan):
+    _check_multi(plan)
+    idx = list(plan.fa.indices)
+    lam = np.asarray(plan.fa.lambdas)
+
+    def delta(noise, z, projector):
+        return _delta_for_chunk(noise, idx, lam[None, :], projector)
+
+    return _stream(plan, False), delta
+
+
+def simulate_multi_fa(*plans: TrialPlan,
+                      chunk_size: int = _DEFAULT_CHUNK) -> list[McEstimate]:
+    """Estimate the multi-contamination probability, one McEstimate per plan.
+
+    Same sharing and validation as ``simulate_single_fa``. A single
+    contaminated scan reduces exactly to simulate_single_fa (same stream, same
+    counts).
+    """
+    return _simulate(plans, _multi_member, chunk_size)
+
+
+def sample_moments(plan: TrialPlan, chunk_size: int = _DEFAULT_CHUNK) -> MomentSample:
+    """Empirical moments of (m1, v1) over the plan's noise stream.
+
+    m1 and v1 are evaluated from the dense projector blocks, keeping the oracle
+    independent of the closed-form sums it validates. The stream is the one
+    ``simulate_multi_fa`` reads for the same plan.
+    """
+    _check_multi(plan)
+    projector = build_projector(plan.config).projector
     epochs = plan.config.epochs
-    idx = fa.indices
-    lam = np.asarray(fa.lambdas)
+    idx = plan.fa.indices
+    lam = np.asarray(plan.fa.lambdas)
 
     sel = np.eye(2 * epochs)
     for l in idx:
@@ -179,12 +246,9 @@ def simulate_multi_fa(plan: TrialPlan, chunk_size: int = _DEFAULT_CHUNK):
     a_blocks = np.array([[projector[2 * la, 2 * lb] for lb in idx] for la in idx])
     th_blocks = np.array([[phi[2 * la, 2 * lb] for lb in idx] for la in idx])
 
-    hits = 0
     m1_parts = []
     v1_parts = []
-    for noise, _ in _noise_chunks(plan, False, chunk_size):
-        delta = _delta_for_chunk(noise, list(idx), lam[None, :], projector)
-        hits += int((delta >= 0.0).sum())
+    for noise, _ in _noise_chunks(*_stream(plan, False), chunk_size):
         ex = np.stack([noise[:, 2 * l] for l in idx], axis=1)
         ey = np.stack([noise[:, 2 * l + 1] for l in idx], axis=1)
         m1 = (np.einsum("ti,ij,tj->t", ex, a_blocks, ex)
@@ -207,7 +271,7 @@ def simulate_multi_fa(plan: TrialPlan, chunk_size: int = _DEFAULT_CHUNK):
 
     m1_mean, m1_mean_se, m1_var, m1_var_se = stats(m1)
     v1_mean, v1_mean_se, v1_var, v1_var_se = stats(v1)
-    return _estimate(hits, plan.trials), MomentSample(
+    return MomentSample(
         m1_mean=m1_mean, m1_mean_se=m1_mean_se, m1_var=m1_var, m1_var_se=m1_var_se,
         v1_mean=v1_mean, v1_mean_se=v1_mean_se, v1_var=v1_var, v1_var_se=v1_var_se)
 
@@ -218,7 +282,7 @@ def simulate_conditional(e_l, l, config: ScanConfig, trials: int, seed: int,
     plan = TrialPlan(trials=trials, seed=seed, config=config, scan=l)
     projector = build_projector(config).projector
     out = []
-    for noise, _ in _noise_chunks(plan, False, chunk_size):
+    for noise, _ in _noise_chunks(*_stream(plan, False), chunk_size):
         noise[:, 2 * l] = e_l[0]
         noise[:, 2 * l + 1] = e_l[1]
         lam_col = np.full((noise.shape[0], 1), config.lam)

@@ -8,8 +8,9 @@ contaminated scans:
     v1 = 4 sum_kk' Th_kk' <e_k - fa_k, e_k' - fa_k'>
 
 with A the projector-block scalars (geometry.cross_alpha) and Th the
-Phi-block scalars (geometry.cross_theta). Compounding the conditional tail
-over m1 ~ N(m0, sigma0^2) and a chosen law for v1 gives
+Phi-block scalars (geometry.cross_theta, computed here as A - A^2).
+Compounding the conditional tail over m1 ~ N(m0, sigma0^2) and a chosen law
+for v1 gives
 
     P = integral of upper_tail(m0 / sqrt(sigma0^2 + v1)) g2(v1) dv1,
 
@@ -29,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .geometry import ScanConfig, cross_alpha, cross_theta
+from .geometry import ScanConfig, cross_alpha
 from .quadrature import adaptive_integrate, normal_upper_tail
 
 
@@ -75,10 +76,14 @@ def _alpha_matrix(fa: FalseAssocSet, config: ScanConfig) -> np.ndarray:
 
 
 def coefficient_matrices(fa: FalseAssocSet, config: ScanConfig):
-    """K x K matrices of projector-block (A) and Phi-block (Th) scalars."""
-    idx = fa.indices
-    Th = np.array([[cross_theta(a, b, idx, config) for b in idx] for a in idx])
-    return _alpha_matrix(fa, config), Th
+    """K x K matrices of projector-block (A) and Phi-block (Th) scalars.
+
+    Th = A - A @ A because M is idempotent: Phi = M S M = M - M P M with P the
+    contaminated blocks, so its blocks at the decoys are A - A^2. The tests hold
+    Th to geometry.cross_theta and to the dense Phi.
+    """
+    A = _alpha_matrix(fa, config)
+    return A, A - A @ A
 
 
 def exact_probability(fa: FalseAssocSet, config: ScanConfig) -> float:

@@ -17,7 +17,8 @@ import pytest
 from trackassoc.dtmc import (AssocDTMC, build_chains, expected_transient_visits,
                              reach_probability, stationary)
 from trackassoc.geometry import ScanConfig, build_design, build_projector, diag_coeffs, leverage
-from trackassoc.mc_oracle import TrialPlan, simulate_dtmc, simulate_multi_fa, simulate_single_fa
+from trackassoc.mc_oracle import (TrialPlan, sample_moments, simulate_dtmc, simulate_multi_fa,
+                                  simulate_single_fa)
 from trackassoc.multi_fa import FalseAssocSet, moment_params, prob_chi2
 from trackassoc.single_fa import (RandomLambda, closed_form_probability, exact_probability,
                                   fit_gammas, random_lambda_probability)
@@ -86,15 +87,15 @@ def test_criterion_02_closed_form_vs_numeric_geometry():
 def test_criterion_03_quadrature_vs_monte_carlo():
     details = []
     ok = True
-    for n in (20, 40):
-        for lam in (1.5, 2.0, 2.5, 3.0):
-            config = ScanConfig(n_scans=n, lam=lam)
-            exact = exact_probability(n, config)
-            est = simulate_single_fa(TrialPlan(trials=1_000_000, seed=42,
-                                               config=config, scan=n))
-            z = abs(exact - est.p_hat) / est.stderr
-            ok = ok and z <= 3.0
-            details.append(f"(N={n},lam={lam}) z={z:.2f}")
+    grid = [(n, lam) for n in (20, 40) for lam in (1.5, 2.0, 2.5, 3.0)]
+    configs = [ScanConfig(n_scans=n, lam=lam) for n, lam in grid]
+    ests = simulate_single_fa(*(TrialPlan(trials=1_000_000, seed=42, config=config,
+                                          scan=config.n_scans) for config in configs))
+    for (n, lam), config, est in zip(grid, configs, ests):
+        exact = exact_probability(n, config)
+        z = abs(exact - est.p_hat) / est.stderr
+        ok = ok and z <= 3.0
+        details.append(f"(N={n},lam={lam}) z={z:.2f}")
     _check(3, "exact quadrature vs Monte Carlo (3 stderr at 1e6)", ok, ", ".join(details))
 
 
@@ -134,16 +135,14 @@ def test_criterion_05_closed_form_asymptote():
 def test_criterion_06_random_lambda_vs_monte_carlo():
     details = []
     ok = True
-    for lam0 in (1.5, 2.5):
-        for sig0 in (1.0, 3.0):
-            config = ScanConfig(n_scans=40)
-            rl = RandomLambda(lambda0=lam0, sigma0=sig0)
-            analytic = random_lambda_probability(rl, 40, config, APPROX)
-            est = simulate_single_fa(TrialPlan(trials=1_000_000, seed=42, config=config,
-                                               scan=40, random_lambda=rl))
-            gap = analytic - est.p_hat
-            ok = ok and abs(gap) <= 0.02
-            details.append(f"(lam0={lam0},sig0={sig0}) gap={gap:+.3f}")
+    config = ScanConfig(n_scans=40)
+    rls = [RandomLambda(lambda0=lam0, sigma0=sig0) for lam0 in (1.5, 2.5) for sig0 in (1.0, 3.0)]
+    ests = simulate_single_fa(*(TrialPlan(trials=1_000_000, seed=42, config=config, scan=40,
+                                          random_lambda=rl) for rl in rls))
+    for rl, est in zip(rls, ests):
+        gap = random_lambda_probability(rl, 40, config, APPROX) - est.p_hat
+        ok = ok and abs(gap) <= 0.02
+        details.append(f"(lam0={rl.lambda0},sig0={rl.sigma0}) gap={gap:+.3f}")
     _check(6, "random-distance closed form within 0.02 of Monte Carlo", ok, ", ".join(details))
 
 
@@ -177,17 +176,18 @@ def test_criterion_08_multi_decoy_compound():
     config = ScanConfig(n_scans=40)
     indices = (39, 40)
     worst = 0.0
-    for lam in np.arange(1.0, 4.001, 0.25):
-        fa = FalseAssocSet(indices=indices, lambdas=(float(lam),) * 2)
-        mp = moment_params(fa, config)
-        est, _ = simulate_multi_fa(TrialPlan(trials=100_000, seed=42, config=config, fa=fa))
-        worst = max(worst, abs(prob_chi2(2, mp) - est.p_hat))
+    fas = [FalseAssocSet(indices=indices, lambdas=(float(lam),) * 2)
+           for lam in np.arange(1.0, 4.001, 0.25)]
+    ests = simulate_multi_fa(*(TrialPlan(trials=100_000, seed=42, config=config, fa=fa)
+                               for fa in fas))
+    for fa, est in zip(fas, ests):
+        worst = max(worst, abs(prob_chi2(2, moment_params(fa, config)) - est.p_hat))
     moment_ok = True
     moment_detail = []
     for lam in (1.0, 2.5):
         fa = FalseAssocSet(indices=indices, lambdas=(lam,) * 2)
         mp = moment_params(fa, config)
-        _, sample = simulate_multi_fa(TrialPlan(trials=100_000, seed=43, config=config, fa=fa))
+        sample = sample_moments(TrialPlan(trials=100_000, seed=43, config=config, fa=fa))
         checks = (abs(mp.m0 - sample.m1_mean) <= 3 * sample.m1_mean_se,
                   abs(mp.sigma0_sq - sample.m1_var) <= 3 * sample.m1_var_se,
                   abs(mp.v0 - sample.v1_mean) <= 3 * sample.v1_mean_se,

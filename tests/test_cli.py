@@ -109,6 +109,20 @@ class TestSweepLambda:
         assert (out_a / "sweep-lambda.csv").read_bytes() == \
             (out_b / "sweep-lambda.csv").read_bytes()
 
+    def test_grid_draws_its_noise_once(self, tmp_path, monkeypatch):
+        # every lambda point reads the same stream, so one chunk serves the grid
+        import trackassoc.mc_oracle as mc
+
+        calls = []
+        words = mc._philox_words
+        monkeypatch.setattr(mc, "_philox_words", lambda *a: calls.append(a) or words(*a))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("methods=mc\ntrials=20000\n")
+        assert run(parse_config(cfg), tmp_path) == 0
+        _, rows = read_csv(tmp_path / "sweep-lambda.csv")
+        assert len(rows) == 31
+        assert len(calls) == 1
+
     def test_jobs_parallel_output_identical(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("trials=5000\nlambda_step=0.5\n")

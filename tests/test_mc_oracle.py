@@ -3,8 +3,8 @@ import pytest
 
 from trackassoc.dtmc import AssocDTMC, expected_transient_visits, stationary
 from trackassoc.geometry import ScanConfig
-from trackassoc.mc_oracle import (TrialPlan, simulate_conditional, simulate_dtmc,
-                                  simulate_multi_fa, simulate_single_fa)
+from trackassoc.mc_oracle import (TrialPlan, sample_moments, simulate_conditional,
+                                  simulate_dtmc, simulate_multi_fa, simulate_single_fa)
 from trackassoc.multi_fa import FalseAssocSet
 from trackassoc.single_fa import RandomLambda, exact_probability
 
@@ -23,18 +23,18 @@ class TestReproducibility:
             assert simulate_single_fa(plan, chunk_size=chunk) == ref
 
     def test_seed_changes_stream(self):
-        a = simulate_single_fa(TrialPlan(trials=30_000, seed=1, config=CONFIG, scan=20))
-        b = simulate_single_fa(TrialPlan(trials=30_000, seed=2, config=CONFIG, scan=20))
+        a, = simulate_single_fa(TrialPlan(trials=30_000, seed=1, config=CONFIG, scan=20))
+        b, = simulate_single_fa(TrialPlan(trials=30_000, seed=2, config=CONFIG, scan=20))
         assert a.p_hat != b.p_hat
 
     def test_stderr_formula(self):
-        est = simulate_single_fa(TrialPlan(trials=10_000, seed=3, config=CONFIG, scan=20))
+        est, = simulate_single_fa(TrialPlan(trials=10_000, seed=3, config=CONFIG, scan=20))
         assert est.stderr == pytest.approx(
             np.sqrt(est.p_hat * (1 - est.p_hat) / est.trials), rel=1e-12)
 
     def test_stderr_halves_when_trials_quadruple(self):
-        small = simulate_single_fa(TrialPlan(trials=25_000, seed=3, config=CONFIG, scan=20))
-        large = simulate_single_fa(TrialPlan(trials=100_000, seed=3, config=CONFIG, scan=20))
+        small, = simulate_single_fa(TrialPlan(trials=25_000, seed=3, config=CONFIG, scan=20))
+        large, = simulate_single_fa(TrialPlan(trials=100_000, seed=3, config=CONFIG, scan=20))
         assert large.stderr == pytest.approx(small.stderr / 2.0, rel=0.02)
 
     def test_random_lambda_reproducible(self):
@@ -47,12 +47,12 @@ class TestSingleFa:
     def test_zero_offset_matches_quadrature(self):
         # decoy on the true position: only the removed noise separates the fits
         config = ScanConfig(n_scans=20, lam=0.0)
-        est = simulate_single_fa(TrialPlan(trials=100_000, seed=6, config=config, scan=20))
+        est, = simulate_single_fa(TrialPlan(trials=100_000, seed=6, config=config, scan=20))
         assert abs(exact_probability(20, config) - est.p_hat) <= 3 * est.stderr
 
     def test_far_decoy(self):
         config = ScanConfig(n_scans=20, lam=10.0)
-        est = simulate_single_fa(TrialPlan(trials=100_000, seed=8, config=config, scan=20))
+        est, = simulate_single_fa(TrialPlan(trials=100_000, seed=8, config=config, scan=20))
         assert est.p_hat >= 0.999
 
     def test_scan_bounds(self):
@@ -63,9 +63,9 @@ class TestSingleFa:
 class TestMultiFa:
     def test_single_scan_reduction_is_bitwise(self):
         config = ScanConfig(n_scans=15, lam=1.8)
-        single = simulate_single_fa(TrialPlan(trials=50_000, seed=9, config=config, scan=7))
+        single, = simulate_single_fa(TrialPlan(trials=50_000, seed=9, config=config, scan=7))
         fa = FalseAssocSet(indices=(7,), lambdas=(1.8,))
-        multi, _ = simulate_multi_fa(TrialPlan(trials=50_000, seed=9, config=config, fa=fa))
+        multi, = simulate_multi_fa(TrialPlan(trials=50_000, seed=9, config=config, fa=fa))
         assert multi == single
 
     def test_all_scans_zero_offset(self):
@@ -74,12 +74,12 @@ class TestMultiFa:
         # (measured 0.0 at 1e5 trials)
         config = ScanConfig(n_scans=10)
         fa = FalseAssocSet(indices=tuple(range(1, 11)), lambdas=(0.0,) * 10)
-        est, _ = simulate_multi_fa(TrialPlan(trials=100_000, seed=5, config=config, fa=fa))
+        est, = simulate_multi_fa(TrialPlan(trials=100_000, seed=5, config=config, fa=fa))
         assert est.p_hat < 0.01
 
     def test_moment_sample_fields_finite(self):
         fa = FalseAssocSet(indices=(18, 20), lambdas=(2.0, 2.0))
-        _, sample = simulate_multi_fa(TrialPlan(trials=20_000, seed=4, config=CONFIG, fa=fa))
+        sample = sample_moments(TrialPlan(trials=20_000, seed=4, config=CONFIG, fa=fa))
         for v in (sample.m1_mean, sample.m1_var, sample.v1_mean, sample.v1_var):
             assert np.isfinite(v)
         assert sample.v1_mean > 0
@@ -88,8 +88,8 @@ class TestMultiFa:
         # a pair of decoys at 2.5 sits near a single decoy at 1.8 (reported only)
         config = ScanConfig(n_scans=40)
         pair = FalseAssocSet(indices=(39, 40), lambdas=(2.5, 2.5))
-        est2, _ = simulate_multi_fa(TrialPlan(trials=50_000, seed=21, config=config, fa=pair))
-        single = simulate_single_fa(TrialPlan(
+        est2, = simulate_multi_fa(TrialPlan(trials=50_000, seed=21, config=config, fa=pair))
+        single, = simulate_single_fa(TrialPlan(
             trials=50_000, seed=21, config=ScanConfig(n_scans=40, lam=1.8), scan=40))
         print(f"two-decoy(2.5) vs one-decoy(1.8): {est2.p_hat:.4f} vs {single.p_hat:.4f} "
               f"(gap {est2.p_hat - single.p_hat:+.4f})")
@@ -101,8 +101,9 @@ class TestMultiFa:
         fa = FalseAssocSet(indices=(10, 25, 40), lambdas=(1.5, 2.5, 3.5))
         from trackassoc.multi_fa import moment_params, prob_chi2
         mp = moment_params(fa, config)
-        est, sample = simulate_multi_fa(TrialPlan(trials=200_000, seed=19,
-                                                  config=config, fa=fa))
+        plan = TrialPlan(trials=200_000, seed=19, config=config, fa=fa)
+        est, = simulate_multi_fa(plan)
+        sample = sample_moments(plan)
         assert abs(mp.m0 - sample.m1_mean) <= 3 * sample.m1_mean_se
         assert abs(mp.sigma0_sq - sample.m1_var) <= 3 * sample.m1_var_se
         assert abs(mp.v0 - sample.v1_mean) <= 3 * sample.v1_mean_se
@@ -112,6 +113,107 @@ class TestMultiFa:
     def test_requires_fa(self):
         with pytest.raises(ValueError):
             simulate_multi_fa(TrialPlan(trials=10, seed=1, config=CONFIG, scan=20))
+
+
+class TestSharedPass:
+    """One call over many plans equals one call per plan and draws each stream once."""
+
+    @staticmethod
+    def one_by_one(simulate, plans, **kwargs):
+        return [est for plan in plans for est in simulate(plan, **kwargs)]
+
+    def test_lambda_grid(self):
+        plans = [TrialPlan(trials=20_000, seed=11, config=ScanConfig(n_scans=20, lam=lam),
+                           scan=17) for lam in (0.0, 1.0, 1.5, 2.5, 4.0)]
+        assert simulate_single_fa(*plans) == self.one_by_one(simulate_single_fa, plans)
+
+    def test_random_lambda_grid(self):
+        plans = [TrialPlan(trials=20_000, seed=5, config=CONFIG, scan=20,
+                           random_lambda=RandomLambda(lambda0=lam0, sigma0=sig0))
+                 for lam0 in (1.5, 2.5) for sig0 in (0.0, 1.0, 3.0)]
+        ests = simulate_single_fa(*plans)
+        assert ests == self.one_by_one(simulate_single_fa, plans)
+        assert len({est.p_hat for est in ests}) == len(plans)
+
+    def test_multi_fa_grid(self):
+        sets = [FalseAssocSet((19, 20), (1.0, 1.0)), FalseAssocSet((5, 12, 20), (0.5, 2.0, 3.0)),
+                FalseAssocSet((20,), (2.0,)), FalseAssocSet((19, 20), (3.0, 3.0))]
+        plans = [TrialPlan(trials=20_000, seed=4, config=CONFIG, fa=fa) for fa in sets]
+        assert simulate_multi_fa(*plans) == self.one_by_one(simulate_multi_fa, plans)
+
+    def test_mixed_streams_keep_their_order(self):
+        plans = [TrialPlan(trials=8_000, seed=1, config=ScanConfig(n_scans=20, lam=2.0)),
+                 TrialPlan(trials=8_000, seed=2, config=ScanConfig(n_scans=30, lam=2.0)),
+                 TrialPlan(trials=8_000, seed=1, config=ScanConfig(n_scans=20, lam=1.0), scan=3),
+                 TrialPlan(trials=8_000, seed=1, config=ScanConfig(n_scans=20, dt=0.5, lam=2.0)),
+                 TrialPlan(trials=9_000, seed=1, config=ScanConfig(n_scans=20, lam=2.0)),
+                 TrialPlan(trials=8_000, seed=2, config=ScanConfig(n_scans=20, lam=2.0))]
+        ests = simulate_single_fa(*plans)
+        assert ests == self.one_by_one(simulate_single_fa, plans)
+        assert [est.trials for est in ests] == [plan.trials for plan in plans]
+
+    def test_chunks_smaller_than_the_stream(self):
+        plans = [TrialPlan(trials=5_000, seed=3, config=ScanConfig(n_scans=20, lam=lam), scan=20)
+                 for lam in (1.0, 2.0, 3.0)]
+        plans.append(TrialPlan(trials=5_000, seed=3, config=CONFIG, scan=20,
+                               random_lambda=RandomLambda(lambda0=2.0, sigma0=1.0)))
+        assert simulate_single_fa(*plans, chunk_size=777) == \
+            self.one_by_one(simulate_single_fa, plans)
+        fas = [FalseAssocSet((18, 20), (lam, lam)) for lam in (1.0, 2.0)]
+        multi = [TrialPlan(trials=5_000, seed=3, config=CONFIG, fa=fa) for fa in fas]
+        assert simulate_multi_fa(*multi, chunk_size=777) == \
+            self.one_by_one(simulate_multi_fa, multi)
+
+    def test_each_stream_drawn_once(self, monkeypatch):
+        import trackassoc.mc_oracle as mc
+
+        calls = []
+        words = mc._philox_words
+        monkeypatch.setattr(mc, "_philox_words", lambda *a: calls.append(a) or words(*a))
+        plans = [TrialPlan(trials=3_000, seed=seed, config=ScanConfig(n_scans=20, lam=lam))
+                 for seed in (1, 2) for lam in (1.0, 2.0, 3.0)]
+        simulate_single_fa(*plans, chunk_size=1_000)
+        assert len(calls) == 2 * 3
+
+    @pytest.mark.parametrize("simulate,bad", [
+        (simulate_single_fa, TrialPlan(trials=10, seed=1, config=CONFIG, scan=21)),
+        (simulate_multi_fa, TrialPlan(trials=10, seed=1, config=CONFIG, scan=20)),
+        (simulate_multi_fa, TrialPlan(trials=10, seed=1, config=CONFIG,
+                                      fa=FalseAssocSet((20, 21), (1.0, 1.0))))],
+        ids=["scan", "no-fa", "index"])
+    def test_invalid_plan_raises_before_any_draw(self, monkeypatch, simulate, bad):
+        import trackassoc.mc_oracle as mc
+
+        calls = []
+        monkeypatch.setattr(mc, "_philox_words", lambda *a: calls.append(a))
+        good = TrialPlan(trials=10, seed=1, config=CONFIG, scan=20,
+                         fa=FalseAssocSet((20,), (1.0,)))
+        with pytest.raises(ValueError):
+            simulate(good, good, bad)
+        assert calls == []
+
+    def test_no_chunk_outlives_its_stream(self):
+        # the sweep-n grid shares nothing, so one call over it must cost no more
+        # memory than its largest plan alone (a chunk kept while the next
+        # stream is drawn shows here)
+        import tracemalloc
+
+        from trackassoc.geometry import build_projector
+
+        plans = [TrialPlan(trials=20_000, seed=3, config=ScanConfig(n_scans=n, lam=2.0))
+                 for n in range(20, 201, 20)]
+        for plan in plans:
+            build_projector(plan.config)
+
+        def peak(*plans):
+            tracemalloc.start()
+            try:
+                simulate_single_fa(*plans)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(*plans) <= 1.05 * peak(plans[-1])
 
 
 class TestCostAlgebra:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trackassoc.geometry import ScanConfig, cross_alpha, diag_coeffs
-from trackassoc.mc_oracle import TrialPlan, simulate_multi_fa
+from trackassoc.geometry import (ScanConfig, build_projector, cross_alpha, cross_theta,
+                                 diag_coeffs)
+from trackassoc.mc_oracle import TrialPlan, sample_moments, simulate_multi_fa
 from trackassoc.multi_fa import (FalseAssocSet, MomentParams, coefficient_matrices,
                                  compound_density, exact_probability, moment_params,
                                  prob_chi2, prob_exponential, prob_normal)
@@ -70,7 +71,7 @@ class TestMomentParams:
         fa = fa_last_k(2, 2.0)
         mp = moment_params(fa, CONFIG40)
         plan = TrialPlan(trials=100_000, seed=31, config=CONFIG40, fa=fa)
-        _, sample = simulate_multi_fa(plan)
+        sample = sample_moments(plan)
         assert abs(mp.m0 - sample.m1_mean) <= 3 * sample.m1_mean_se
         assert abs(mp.sigma0_sq - sample.m1_var) <= 3 * sample.m1_var_se
         assert abs(mp.v0 - sample.v1_mean) <= 3 * sample.v1_mean_se
@@ -100,9 +101,21 @@ class TestCoefficientMatrices:
     @pytest.mark.parametrize("indices", [(1,), (20,), (40,), (10, 25, 33),
                                          tuple(range(33, 41)), tuple(range(2, 41))])
     def test_phi_block_is_alpha_minus_its_square(self, indices):
-        # M is idempotent; exact_probability rests on this identity
+        # Th is computed as A - A @ A (M is idempotent); hold it to the
+        # excluded-epoch sums of geometry.cross_theta and to the blocks of the
+        # dense Phi = M S M, S the identity zeroed on the contaminated blocks
         A, Th = coefficient_matrices(FalseAssocSet(indices, (1.0,) * len(indices)), CONFIG40)
-        np.testing.assert_allclose(Th, A - A @ A, rtol=0.0, atol=1e-12)
+        sums = [[cross_theta(a, b, indices, CONFIG40) for b in indices] for a in indices]
+        np.testing.assert_allclose(Th, sums, rtol=0.0, atol=1e-12)
+        m = build_projector(CONFIG40).projector
+        s = np.eye(2 * CONFIG40.epochs)
+        for l in indices:
+            s[2 * l, 2 * l] = s[2 * l + 1, 2 * l + 1] = 0.0
+        phi = m @ s @ m
+        for coord in (0, 1):
+            rows = [2 * l + coord for l in indices]
+            np.testing.assert_allclose(Th, phi[np.ix_(rows, rows)], rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(A, m[np.ix_(rows, rows)], rtol=0.0, atol=1e-12)
 
 
 @st.composite
@@ -120,7 +133,7 @@ class TestExactProbability:
     @pytest.mark.parametrize("lam", (1.0, 2.0, 3.0))
     def test_matches_oracle(self, k, lam):
         fa = fa_last_k(k, lam)
-        est, _ = simulate_multi_fa(TrialPlan(trials=200_000, seed=5, config=CONFIG40, fa=fa))
+        est, = simulate_multi_fa(TrialPlan(trials=200_000, seed=5, config=CONFIG40, fa=fa))
         assert abs(exact_probability(fa, CONFIG40) - est.p_hat) <= 4 * est.stderr
 
     @pytest.mark.parametrize("n,indices,lambdas", [(5, (1, 2, 3, 4), (0.0, 0.0, 0.0, 3.0)),
@@ -129,7 +142,7 @@ class TestExactProbability:
     def test_unequal_offsets_match_oracle(self, n, indices, lambdas):
         # unequal offsets reach the eigenvectors of A with eigenvalue 1
         fa, config = FalseAssocSet(indices, lambdas), ScanConfig(n_scans=n)
-        est, _ = simulate_multi_fa(TrialPlan(trials=200_000, seed=5, config=config, fa=fa))
+        est, = simulate_multi_fa(TrialPlan(trials=200_000, seed=5, config=config, fa=fa))
         assert abs(exact_probability(fa, config) - est.p_hat) <= 4 * est.stderr
 
     @pytest.mark.parametrize("k,exact,chi2,normal,exponential", [
@@ -179,7 +192,7 @@ class TestProbChi2:
     def test_k2_against_oracle_spot(self):
         fa = fa_last_k(2, 2.0)
         mp = moment_params(fa, CONFIG40)
-        est, _ = simulate_multi_fa(TrialPlan(trials=100_000, seed=13, config=CONFIG40, fa=fa))
+        est, = simulate_multi_fa(TrialPlan(trials=100_000, seed=13, config=CONFIG40, fa=fa))
         assert abs(prob_chi2(2, mp) - est.p_hat) <= 0.1
 
     def test_monotone_in_distance(self):
@@ -210,7 +223,7 @@ class TestProbNormal:
     def test_k2_against_oracle_spot(self):
         fa = fa_last_k(2, 3.0)
         mp = moment_params(fa, CONFIG40)
-        est, _ = simulate_multi_fa(TrialPlan(trials=100_000, seed=17, config=CONFIG40, fa=fa))
+        est, = simulate_multi_fa(TrialPlan(trials=100_000, seed=17, config=CONFIG40, fa=fa))
         assert abs(prob_normal(mp).value - est.p_hat) <= 0.1
 
     def test_negative_mass_flag(self):

@@ -76,7 +76,7 @@ class TestExactProbability:
 
     def test_matches_oracle(self):
         config = ScanConfig(n_scans=20, lam=2.5)
-        est = simulate_single_fa(TrialPlan(trials=100_000, seed=7, config=config, scan=20))
+        est, = simulate_single_fa(TrialPlan(trials=100_000, seed=7, config=config, scan=20))
         assert abs(exact_probability(20, config) - est.p_hat) <= 3 * est.stderr
 
     def test_flat_in_scan_index(self):
