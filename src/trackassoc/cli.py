@@ -11,9 +11,10 @@ Exit codes: 0 success, 1 usage/config error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -25,26 +26,6 @@ from . import mc_oracle, multi_fa, single_fa, tabulated
 from .geometry import ScanConfig
 from .quadrature import IntegrationError
 
-_DEFAULTS = dict(
-    experiment="sweep-lambda",
-    n_scans=40, dt=1.0, scan=0,                     # scan 0 means "last"
-    lambda_min=1.0, lambda_max=4.0, lambda_step=0.1,
-    lambda_fixed=2.0,
-    n_min=10, n_max=80, n_step=5,
-    k=2,
-    sigma0=1.0,
-    p_fa_min=0.01, p_fa_max=0.30, p_fa_step=0.01,
-    steps=20,
-    methods="",                                      # empty -> per-experiment default
-    n_steps=10, support_k=3.0,
-    trials=100_000, seed=42, jobs=1,
-)
-
-_INT_KEYS = {"n_scans", "scan", "n_min", "n_max", "n_step", "k", "steps",
-             "n_steps", "trials", "seed", "jobs"}
-_FLOAT_KEYS = {"dt", "lambda_min", "lambda_max", "lambda_step", "lambda_fixed",
-               "sigma0", "p_fa_min", "p_fa_max", "p_fa_step", "support_k"}
-
 
 class ConfigError(ValueError):
     pass
@@ -52,24 +33,26 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    experiment: str
-    n_scans: int
-    dt: float
-    scan: int
-    lambda_min: float
-    lambda_max: float
-    lambda_step: float
-    lambda_fixed: float
-    n_min: int
-    n_max: int
-    n_step: int
-    k: int
-    sigma0: float
-    p_fa_min: float
-    p_fa_max: float
-    p_fa_step: float
-    steps: int
-    methods: tuple = field(default=())
+    """One experiment's settings: each field is a config-file key, with its type and default."""
+
+    experiment: str = "sweep-lambda"
+    n_scans: int = 40
+    dt: float = 1.0
+    scan: int = 0                  # 0 means "last"
+    lambda_min: float = 1.0
+    lambda_max: float = 4.0
+    lambda_step: float = 0.1
+    lambda_fixed: float = 2.0
+    n_min: int = 10
+    n_max: int = 80
+    n_step: int = 5
+    k: int = 2
+    sigma0: float = 1.0
+    p_fa_min: float = 0.01
+    p_fa_max: float = 0.30
+    p_fa_step: float = 0.01
+    steps: int = 20
+    methods: tuple = ()            # empty -> per-experiment default
     n_steps: int = 10
     support_k: float = 3.0
     trials: int = 100_000
@@ -78,25 +61,31 @@ class ExperimentSpec:
 
 
 def _validate(spec: ExperimentSpec) -> ExperimentSpec:
+    """Check the bounds the CLI sets; the library's own constructors check the rest."""
     if spec.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {spec.experiment!r}")
-    if not 5 <= spec.n_scans <= 200:
+    try:
+        config = ScanConfig(n_scans=spec.n_scans, dt=spec.dt)
+        mc_oracle.TrialPlan(trials=spec.trials, seed=spec.seed, config=config)
+        single_fa.RandomLambda(lambda0=0.0, sigma0=spec.sigma0)
+        single_fa.fit_gammas(spec.n_steps, spec.support_k)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if spec.n_scans > 200:
         raise ConfigError("n_scans must lie in [5, 200]")
     if not (5 <= spec.n_min <= spec.n_max <= 200):
         raise ConfigError("n grid must lie in [5, 200]")
     for v in (spec.lambda_min, spec.lambda_max, spec.lambda_fixed):
         if not 0.0 <= v <= 10.0:
             raise ConfigError("lambda values must lie in [0, 10]")
-    if spec.lambda_max < spec.lambda_min or spec.lambda_step <= 0:
+    if spec.lambda_max < spec.lambda_min or not spec.lambda_step > 0:
         raise ConfigError("bad lambda grid")
     if spec.n_step <= 0:
         raise ConfigError("bad n grid step")
     if not 1 <= spec.k < spec.n_scans:
         raise ConfigError("k must satisfy 1 <= k < n_scans")
-    if not (0.0 <= spec.p_fa_min <= spec.p_fa_max < 1.0) or spec.p_fa_step <= 0:
+    if not (0.0 <= spec.p_fa_min <= spec.p_fa_max < 1.0) or not spec.p_fa_step > 0:
         raise ConfigError("bad p_fa grid")
-    if spec.trials < 1:
-        raise ConfigError("trials must be >= 1")
     if spec.steps < 0:
         raise ConfigError("steps must be >= 0")
     if spec.jobs < 1:
@@ -113,9 +102,25 @@ def _validate(spec: ExperimentSpec) -> ExperimentSpec:
     return replace(spec, methods=methods, scan=scan)
 
 
+def _finite(val: str) -> float:
+    x = float(val)
+    if not math.isfinite(x):
+        raise ValueError(f"{val!r} is not finite")
+    return x
+
+
+def _methods(val: str) -> tuple:
+    return tuple(m for m in (v.strip().replace("_", "-") for v in val.split(",")) if m)
+
+
+# the parser of each key, by the type ExperimentSpec declares for it
+_PARSERS = {"int": int, "float": _finite, "str": str, "tuple": _methods}
+_KEYS = {f.name: _PARSERS[f.type] for f in fields(ExperimentSpec)}
+
+
 def parse_config(path) -> ExperimentSpec:
     """Parse a key=value config file (# comments) into a validated spec."""
-    values = dict(_DEFAULTS)
+    values = {}
     text = Path(path).read_text()
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -125,42 +130,24 @@ def parse_config(path) -> ExperimentSpec:
             raise ConfigError(f"{path}:{ln}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip().replace("-", "_"), val.strip()
-        if key == "p_fa":                       # single value shorthand
-            try:
-                values["p_fa_min"] = values["p_fa_max"] = float(val)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{ln}: bad value for p_fa: {exc}") from exc
-            continue
-        if key not in values:
+        names = ("p_fa_min", "p_fa_max") if key == "p_fa" else (key,)  # p_fa: one-point grid
+        if names[0] not in _KEYS:
             raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(val)
-            elif key == "methods":
-                values[key] = ",".join(v.strip().replace("_", "-")
-                                       for v in val.split(",") if v.strip())
-            else:
-                values[key] = val
+            values.update(dict.fromkeys(names, _KEYS[names[0]](val)))
         except ValueError as exc:
             raise ConfigError(f"{path}:{ln}: bad value for {key}: {exc}") from exc
-    values["methods"] = tuple(m for m in values["methods"].split(",") if m)
-    try:
-        return _validate(ExperimentSpec(**values))
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return _validate(ExperimentSpec(**values))
 
 
 def default_spec() -> ExperimentSpec:
-    return _validate(ExperimentSpec(**{**_DEFAULTS, "methods": ()}))
+    return _validate(ExperimentSpec())
 
 
 def _grid(lo, hi, step):
+    # rounding to 10 decimals may pass hi (p_fa_max = 0.999999999 would round to 1)
     count = int(round((hi - lo) / step)) + 1
-    return [round(lo + i * step, 10) for i in range(count) if lo + i * step <= hi + 1e-9]
+    return [min(round(lo + i * step, 10), hi) for i in range(count) if lo + i * step <= hi + 1e-9]
 
 
 def _fmt(x):
@@ -187,7 +174,7 @@ def _single_row(spec, approx, lam, n_scans, scan):
     if "closed-form" in spec.methods:
         row["closed_form"] = single_fa.closed_form_probability(scan, config, approx).value
     if "first-order" in spec.methods:
-        row["first_order"] = single_fa.first_order_probability(scan, config, approx)
+        row["first_order"] = single_fa.first_order_probability(scan, config, approx).value
     return row, mc_oracle.TrialPlan(trials=spec.trials, seed=spec.seed, config=config, scan=scan)
 
 
@@ -206,7 +193,8 @@ def _random_lambda_row(spec, approx, lam0):
     rl = single_fa.RandomLambda(lambda0=lam0, sigma0=spec.sigma0)
     row = {}
     if "closed-form" in spec.methods:
-        row["closed_form"] = single_fa.random_lambda_probability(rl, spec.scan, config, approx)
+        row["closed_form"] = single_fa.random_lambda_probability(
+            rl, spec.scan, config, approx).value
     return row, mc_oracle.TrialPlan(trials=spec.trials, seed=spec.seed, config=config,
                                     scan=spec.scan, random_lambda=rl)
 

@@ -30,10 +30,6 @@ class AssocDTMC:
         if not 0.0 <= self.p_fa <= 1.0:
             raise ValueError("p_fa must lie in [0, 1]")
 
-    @property
-    def p_ca(self) -> float:
-        return 1.0 - self.p_fa
-
 
 @dataclass(frozen=True)
 class ChainMatrices:

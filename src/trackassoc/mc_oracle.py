@@ -298,7 +298,6 @@ def simulate_conditional(e_l, l, config: ScanConfig, trials: int, seed: int,
 @dataclass(frozen=True)
 class DtmcSimStats:
     occupancy: np.ndarray        # empirical law of the 4 pair states
-    occupancy_steps: int
     mean_return_state4: float    # mean gap between state-4 visits
     return_count: int
     mean_absorption_steps: float  # mean decisions until two consecutive fa
@@ -337,10 +336,9 @@ def simulate_dtmc(p_fa: float, steps: int, runs: int, seed: int) -> DtmcSimStats
         return_count = 0
 
     if p_fa == 0.0:
-        return DtmcSimStats(occupancy=occupancy, occupancy_steps=steps,
-                            mean_return_state4=mean_return, return_count=return_count,
-                            mean_absorption_steps=math.inf, absorption_se=math.inf,
-                            runs=runs)
+        return DtmcSimStats(occupancy=occupancy, mean_return_state4=mean_return,
+                            return_count=return_count, mean_absorption_steps=math.inf,
+                            absorption_se=math.inf, runs=runs)
 
     block = 256
     group_size = 4096
@@ -368,7 +366,6 @@ def simulate_dtmc(p_fa: float, steps: int, runs: int, seed: int) -> DtmcSimStats
             base += block
         times[g0:g0 + g] = t_abs
     se = float(times.std(ddof=1) / math.sqrt(runs)) if runs > 1 else math.inf
-    return DtmcSimStats(occupancy=occupancy, occupancy_steps=steps,
-                        mean_return_state4=mean_return, return_count=return_count,
-                        mean_absorption_steps=float(times.mean()),
+    return DtmcSimStats(occupancy=occupancy, mean_return_state4=mean_return,
+                        return_count=return_count, mean_absorption_steps=float(times.mean()),
                         absorption_se=se, runs=runs)

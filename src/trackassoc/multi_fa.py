@@ -148,18 +148,45 @@ def _chi2_upper_cutoff(df, tail=1e-10):
     return hi
 
 
-def prob_chi2(K: int, mp: MomentParams) -> float:
-    """Compound tail with v1 ~ chi-square(2K), as tabulated (no rescaling)."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    df = 2 * K
-    hi = _chi2_upper_cutoff(df)
+def _variance_law(mp: MomentParams, law: str, K: int | None = None,
+                  rate: float | None = None):
+    """(weight, lo, hi): the density of v1 under ``law`` and the interval it is integrated over.
+
+    "chi2" is chi-square(2K) as tabulated (no rescaling), cut where its upper
+    tail falls below 1e-10; "normal" is N(v0, s0_sq) over v0 +- 12 s0, cut
+    below at -sigma0_sq, where sigma0_sq + v1 stops being a variance (its
+    interval is empty when s0_sq = 0); "exponential" is Exp(rate) on [0, 40/rate].
+    """
+    if law == "chi2":
+        if K is None or K < 1:
+            raise ValueError("chi2 law needs K >= 1")
+        df = 2 * K
+        return (lambda v: _chi2_pdf(v, df)), 0.0, _chi2_upper_cutoff(df)
+    if law == "normal":
+        s0 = math.sqrt(mp.s0_sq)
+        lo = max(-mp.sigma0_sq + 1e-12 * (1.0 + mp.sigma0_sq), mp.v0 - 12.0 * s0)
+        return ((lambda v: np.exp(-0.5 * ((v - mp.v0) / s0) ** 2) / (s0 * math.sqrt(2 * np.pi))),
+                lo, mp.v0 + 12.0 * s0)
+    if law == "exponential":
+        if rate is None or not rate > 0:
+            raise ValueError("exponential law needs a positive rate")
+        return (lambda v: rate * np.exp(-rate * v)), 0.0, 40.0 / rate
+    raise ValueError(f"unknown variance law {law!r}")
+
+
+def _compound_tail(mp: MomentParams, weight, lo: float, hi: float) -> float:
+    """Integral of upper_tail(m0 / sqrt(sigma0_sq + v1)) against a v1 law, clamped to [0, 1]."""
 
     def f(v):
-        return normal_upper_tail(mp.m0 / np.sqrt(mp.sigma0_sq + v)) * _chi2_pdf(v, df)
+        return normal_upper_tail(mp.m0 / np.sqrt(mp.sigma0_sq + v)) * weight(v)
 
-    val, _ = adaptive_integrate(f, 0.0, hi, abs_tol=1e-8)
+    val, _ = adaptive_integrate(f, lo, hi, abs_tol=1e-8)
     return min(max(val, 0.0), 1.0)
+
+
+def prob_chi2(K: int, mp: MomentParams) -> float:
+    """Compound tail with v1 ~ chi-square(2K), as tabulated (no rescaling)."""
+    return _compound_tail(mp, *_variance_law(mp, "chi2", K=K))
 
 
 class NormalCompound(NamedTuple):
@@ -173,36 +200,22 @@ def prob_normal(mp: MomentParams) -> NormalCompound:
 
     The normal law puts mass on negative variances; if the mass at v1 <= 0
     exceeds 0.05 the result is flagged unreliable (the weight below -sigma0_sq,
-    where the integrand is undefined, is dropped entirely).
+    where the integrand is undefined, is dropped entirely). With s0_sq = 0 the
+    law is a point mass at v0.
     """
     s0 = math.sqrt(mp.s0_sq)
     neg_mass = float(normal_upper_tail((mp.v0 - 0.0) / s0)) if s0 > 0 else float(mp.v0 <= 0)
-    lo = max(-mp.sigma0_sq + 1e-12 * (1.0 + mp.sigma0_sq), mp.v0 - 12.0 * s0)
-    hi = mp.v0 + 12.0 * s0
-    if s0 == 0.0 or hi <= lo:
+    weight, lo, hi = _variance_law(mp, "normal")
+    if hi <= lo:
         val = float(normal_upper_tail(mp.m0 / math.sqrt(mp.sigma0_sq + mp.v0)))
-        return NormalCompound(value=val, negative_mass=neg_mass, unreliable=neg_mass > 0.05)
-
-    def f(v):
-        return (normal_upper_tail(mp.m0 / np.sqrt(mp.sigma0_sq + v))
-                * np.exp(-0.5 * ((v - mp.v0) / s0) ** 2) / (s0 * math.sqrt(2 * np.pi)))
-
-    val, _ = adaptive_integrate(f, lo, hi, abs_tol=1e-8)
-    return NormalCompound(value=min(max(val, 0.0), 1.0),
-                          negative_mass=neg_mass, unreliable=neg_mass > 0.05)
+    else:
+        val = _compound_tail(mp, weight, lo, hi)
+    return NormalCompound(value=val, negative_mass=neg_mass, unreliable=neg_mass > 0.05)
 
 
 def prob_exponential(mp: MomentParams, rate: float) -> float:
     """Compound tail with v1 ~ Exp(rate) by quadrature; see tabulated.exponential_series."""
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    hi = 40.0 / rate
-
-    def f(v):
-        return normal_upper_tail(mp.m0 / np.sqrt(mp.sigma0_sq + v)) * rate * np.exp(-rate * v)
-
-    val, _ = adaptive_integrate(f, 0.0, hi, abs_tol=1e-8)
-    return min(max(val, 0.0), 1.0)
+    return _compound_tail(mp, *_variance_law(mp, "exponential", rate=rate))
 
 
 def compound_density(mp: MomentParams, law: str = "chi2", K: int | None = None,
@@ -224,27 +237,9 @@ def compound_density(mp: MomentParams, law: str = "chi2", K: int | None = None,
 
         return h_point
 
-    if law == "chi2":
-        if K is None:
-            raise ValueError("chi2 law needs K")
-        df = 2 * K
-        hi = _chi2_upper_cutoff(df)
-        weight = lambda v: _chi2_pdf(v, df)
-        lo = 0.0
-    elif law == "normal":
-        s0 = math.sqrt(mp.s0_sq)
-        if s0 == 0.0:
-            raise ValueError("zero-variance normal law: use law='point'")
-        lo = max(-mp.sigma0_sq + 1e-12 * (1.0 + mp.sigma0_sq), mp.v0 - 12.0 * s0)
-        hi = mp.v0 + 12.0 * s0
-        weight = lambda v: np.exp(-0.5 * ((v - mp.v0) / s0) ** 2) / (s0 * math.sqrt(2 * np.pi))
-    elif law == "exponential":
-        if rate is None or rate <= 0:
-            raise ValueError("exponential law needs a positive rate")
-        lo, hi = 0.0, 40.0 / rate
-        weight = lambda v: rate * np.exp(-rate * v)
-    else:
-        raise ValueError(f"unknown variance law {law!r}")
+    weight, lo, hi = _variance_law(mp, law, K=K, rate=rate)
+    if hi <= lo:
+        raise ValueError("zero-variance normal law: use law='point'")
 
     def h(delta):
         d = np.asarray(delta, dtype=float)

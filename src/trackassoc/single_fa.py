@@ -53,6 +53,11 @@ class ClampedProbability(NamedTuple):
     clamped: bool
 
 
+def _clamp(raw: float) -> ClampedProbability:
+    """raw clamped to [0, 1]; the flag reports whether clamping occurred."""
+    return ClampedProbability(value=min(max(raw, 0.0), 1.0), clamped=not 0.0 <= raw <= 1.0)
+
+
 def conditional_law(e_l, l, config: ScanConfig) -> CostDiffLaw:
     """Normal law of the cost difference for fixed scan-l noise e_l.
 
@@ -94,10 +99,6 @@ class IndicatorApprox:
     @property
     def _i(self):
         return np.arange(1, self.n_steps + 1, dtype=float)
-
-    @property
-    def sum_g(self):
-        return float(np.sum(self.gammas))
 
     @property
     def sum_ig(self):
@@ -169,29 +170,33 @@ def closed_form_probability(l, config: ScanConfig, approx: IndicatorApprox) -> C
     """
     a, b, c = closed_form_coefficients(l, config, approx)
     lam = config.lam
-    raw = 1.0 + (a + b * lam + c * lam * lam) * math.exp(-lam * lam / 2.0)
-    clamped = not 0.0 <= raw <= 1.0
-    return ClampedProbability(value=min(max(raw, 0.0), 1.0), clamped=clamped)
+    return _clamp(1.0 + (a + b * lam + c * lam * lam) * math.exp(-lam * lam / 2.0))
 
 
-def first_order_probability(l, config: ScanConfig, approx: IndicatorApprox) -> float:
-    """First-order (slope) form 1 - (1 - slo*sqrt(beta)/alpha) e^{-lam^2/2}."""
+def first_order_probability(l, config: ScanConfig,
+                            approx: IndicatorApprox) -> ClampedProbability:
+    """First-order (slope) form 1 - (1 - slo*sqrt(beta)/alpha) e^{-lam^2/2}, clamped to [0, 1].
+
+    Near lam = 0 the form falls below 0 (at lam = 0 it is slo*sqrt(beta)/alpha < 0).
+    """
     c = diag_coeffs(l, config)
     lam = config.lam
-    return 1.0 - (1.0 - approx.slope * math.sqrt(c.beta) / c.alpha) * math.exp(-lam * lam / 2.0)
+    return _clamp(1.0 - (1.0 - approx.slope * math.sqrt(c.beta) / c.alpha)
+                  * math.exp(-lam * lam / 2.0))
 
 
 def random_lambda_probability(rl: RandomLambda, l, config: ScanConfig,
-                              approx: IndicatorApprox) -> float:
+                              approx: IndicatorApprox) -> ClampedProbability:
     """Closed form for a contamination distance drawn from N(lambda0, sigma0^2).
 
     Algebraically the exact Gaussian average of the closed form over the
     distance (verified in the tests), so it inherits the closed form's bias.
-    sigma0 = 0 degenerates to closed_form_probability at lambda0.
+    sigma0 = 0 degenerates to closed_form_probability at lambda0, and the value
+    is clamped to [0, 1] the same way.
     """
     a, b, c = closed_form_coefficients(l, config, approx)
     s2 = rl.sigma0**2
     lam_bar = rl.lambda0 / (s2 + 1.0)
     s0_sq = s2 / (s2 + 1.0)
-    return 1.0 + (1.0 / math.sqrt(s2 + 1.0)) * (a + b * lam_bar + c * (lam_bar**2 + s0_sq)) \
-        * math.exp(-rl.lambda0**2 / (2.0 * (s2 + 1.0)))
+    return _clamp(1.0 + (1.0 / math.sqrt(s2 + 1.0)) * (a + b * lam_bar + c * (lam_bar**2 + s0_sq))
+                  * math.exp(-rl.lambda0**2 / (2.0 * (s2 + 1.0))))

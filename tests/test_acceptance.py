@@ -140,7 +140,7 @@ def test_criterion_06_random_lambda_vs_monte_carlo():
     ests = simulate_single_fa(*(TrialPlan(trials=1_000_000, seed=42, config=config, scan=40,
                                           random_lambda=rl) for rl in rls))
     for rl, est in zip(rls, ests):
-        gap = random_lambda_probability(rl, 40, config, APPROX) - est.p_hat
+        gap = random_lambda_probability(rl, 40, config, APPROX).value - est.p_hat
         ok = ok and abs(gap) <= 0.02
         details.append(f"(lam0={rl.lambda0},sig0={rl.sigma0}) gap={gap:+.3f}")
     _check(6, "random-distance closed form within 0.02 of Monte Carlo", ok, ", ".join(details))

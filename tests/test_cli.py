@@ -1,11 +1,14 @@
 import ast
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from trackassoc.cli import (ConfigError, default_spec, main, parse_config, run,
+from trackassoc.cli import (EXPERIMENTS, ConfigError, default_spec, main, parse_config, run,
                             write_csv, write_svg)
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -84,6 +87,23 @@ class TestParseConfig:
             parse_config(cfg)
         assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["dt=0\n", "n_steps=0\n", "support_k=0\n",
+                                      "experiment=random-lambda\nsigma0=-1\n", "seed=-1\n",
+                                      "seed=18446744073709551616\n", "dt=inf\n",
+                                      "experiment=random-lambda\nsigma0=nan\n",
+                                      "lambda_step=inf\n"],
+                             ids=["dt", "n_steps", "support_k", "sigma0", "seed-negative",
+                                  "seed-2^64", "dt-inf", "sigma0-nan", "lambda_step-inf"])
+    def test_value_the_library_rejects(self, tmp_path, capsys, text):
+        # each of these once passed parsing and died in run with a traceback
+        cfg = tmp_path / "lib.cfg"
+        cfg.write_text(text)
+        with pytest.raises(ConfigError):
+            parse_config(cfg)
+        assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestSweepLambda:
@@ -170,6 +190,19 @@ class TestGolden:
             for name in ("reach_spectral", "reach_power", "pi4"):
                 assert 0.0 <= r[header.index(name)] <= 1.0
 
+    @pytest.mark.parametrize("text", ["p_fa_max=0.999999999\n", "p_fa=0.999999999999\n"])
+    def test_dtmc_grid_stays_below_one(self, tmp_path, text):
+        # rounding the grid to 10 decimals once took its last point to p_fa = 1
+        from trackassoc.cli import _p_fa_grid
+
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text("experiment=dtmc\n" + text)
+        spec = parse_config(cfg)
+        assert max(_p_fa_grid(spec)) == spec.p_fa_max < 1.0
+        assert run(spec, tmp_path) == 0
+        _, rows = read_csv(tmp_path / "dtmc.csv")
+        assert len(rows) == len(_p_fa_grid(spec))
+
 
 class TestOtherExperiments:
     def test_multi_fa_runs(self, tmp_path):
@@ -252,6 +285,46 @@ class TestOtherExperiments:
         assert run(spec, tmp_path) == 2
         assert (tmp_path / "sweep-lambda.csv").read_text().startswith("# ERROR:")
         assert "numerical failure" in capsys.readouterr().err
+
+
+@st.composite
+def one_point_keys(draw):
+    """Config keys of a one-point grid that parse_config accepts (experiment and methods aside)."""
+    n = draw(st.integers(5, 200))
+    lam = draw(st.floats(0.0, 10.0))
+    return {"n_scans": n, "n_min": n, "n_max": n,
+            "lambda_min": lam, "lambda_max": lam, "lambda_fixed": lam,
+            "p_fa": draw(st.floats(0.0, 1.0, exclude_max=True)),
+            "k": draw(st.integers(1, n - 1)), "scan": draw(st.integers(0, n)),
+            "sigma0": draw(st.floats(0.0, 10.0)), "n_steps": draw(st.integers(1, 30)),
+            "support_k": draw(st.floats(0.5, 6.0)), "steps": draw(st.integers(0, 100)),
+            "trials": draw(st.integers(1, 64)), "seed": draw(st.integers(0, 2**64 - 1))}
+
+
+class TestEveryAcceptedConfig:
+    # reach_expansion is the tabulated diagnostic and expected_visits a step count
+    NOT_PROBABILITIES = {"reach_expansion", "expected_visits"}
+
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    @settings(max_examples=40, deadline=None, database=None)
+    # first-order and random-lambda once went below 0 here, and p_fa rounded up to 1
+    @example(keys={"n_scans": 5, "n_min": 5, "n_max": 5, "lambda_min": 0.0, "lambda_max": 0.0,
+                   "lambda_fixed": 0.0, "p_fa": 0.999999999999, "k": 1, "scan": 0,
+                   "sigma0": 0.0, "n_steps": 1, "support_k": 3.0, "steps": 20, "trials": 16,
+                   "seed": 0})
+    @given(keys=one_point_keys())
+    def test_probabilities_finite_and_in_unit_interval(self, experiment, keys):
+        keys = {**keys, "experiment": experiment,
+                "methods": ",".join(EXPERIMENTS[experiment].methods)}
+        with tempfile.TemporaryDirectory() as out:
+            cfg = Path(out) / "p.cfg"
+            cfg.write_text("".join(f"{key}={value}\n" for key, value in keys.items()))
+            assert run(parse_config(cfg), out) == 0
+            header, rows = read_csv(Path(out) / f"{experiment}.csv")
+        assert len(rows) == 1
+        for name, value in zip(header[1:], rows[0][1:]):
+            if name not in self.NOT_PROBABILITIES:
+                assert math.isfinite(value) and 0.0 <= value <= 1.0, (name, value)
 
 
 class TestMainEntry:

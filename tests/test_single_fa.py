@@ -117,7 +117,7 @@ class TestIndicatorApprox:
     def test_total_weight_is_widest_box_mass(self, n):
         approx = fit_gammas(n)
         widest = 1.0 - 2.0 * float(normal_upper_tail(3.0))
-        assert approx.sum_g == pytest.approx(widest, abs=1e-10)
+        assert sum(approx.gammas) == pytest.approx(widest, abs=1e-10)
 
     @pytest.mark.parametrize("n", (1, 2, 5, 10, 20))
     def test_inverse_weighted_sum_is_narrowest_box_mass(self, n):
@@ -212,6 +212,23 @@ class TestClosedForm:
         result = closed_form_probability(5, config, APPROX)
         assert 0.0 <= result.value <= 1.0
 
+    @pytest.mark.parametrize("form", ["closed-form", "first-order", "random-lambda"])
+    def test_below_zero_is_clamped(self, form):
+        # at lam = 0 and small N each form is negative (-0.124, -0.542 and
+        # -0.124 before clamping); all three report it the same way
+        approx = fit_gammas(1)
+        n, l = (10, 10) if form == "first-order" else (5, 5)
+        config = ScanConfig(n_scans=n, lam=0.0)
+        if form == "closed-form":
+            a, _, _ = closed_form_coefficients(l, config, approx)
+            assert 1.0 + a < 0.0
+            result = closed_form_probability(l, config, approx)
+        elif form == "first-order":
+            result = first_order_probability(l, config, approx)
+        else:
+            result = random_lambda_probability(RandomLambda(0.0, 0.0), l, config, approx)
+        assert result == (0.0, True)
+
     def test_reassembly_mismatch_is_the_documented_one(self):
         # the independent reassembly from the box integrals does not reproduce
         # the tabulated coefficients (FINDINGS.md); freeze the gap's scale
@@ -224,18 +241,19 @@ class TestClosedForm:
 class TestFirstOrder:
     def test_limit_matches_plain_exponential(self):
         config = ScanConfig(n_scans=5000, lam=2.0)
-        assert first_order_probability(5000, config, APPROX) == pytest.approx(
+        assert first_order_probability(5000, config, APPROX).value == pytest.approx(
             1.0 - math.exp(-2.0), abs=0.01)
 
     def test_increases_with_n(self):
-        vals = [first_order_probability(n, ScanConfig(n_scans=n, lam=2.0), APPROX)
+        vals = [first_order_probability(n, ScanConfig(n_scans=n, lam=2.0), APPROX).value
                 for n in range(10, 41, 2)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_tracks_exact_shape(self):
         ns = list(range(10, 41, 2))
         exact = [exact_probability(n, ScanConfig(n_scans=n, lam=2.0)) for n in ns]
-        fo = [first_order_probability(n, ScanConfig(n_scans=n, lam=2.0), APPROX) for n in ns]
+        fo = [first_order_probability(n, ScanConfig(n_scans=n, lam=2.0), APPROX).value
+              for n in ns]
         corr = np.corrcoef(np.diff(exact), np.diff(fo))[0, 1]
         assert corr > 0.9
 
@@ -297,7 +315,7 @@ class TestRandomLambda:
         config = ScanConfig(n_scans=40, lam=1.7)
         fixed = closed_form_probability(40, config, APPROX).value
         rl = RandomLambda(lambda0=1.7, sigma0=0.0)
-        assert random_lambda_probability(rl, 40, config, APPROX) == pytest.approx(
+        assert random_lambda_probability(rl, 40, config, APPROX).value == pytest.approx(
             fixed, rel=1e-14)
 
     @pytest.mark.parametrize("lam0,sig0", [(1.5, 1.0), (2.5, 1.0), (2.0, 3.0)])
@@ -308,7 +326,8 @@ class TestRandomLambda:
         lam = lam0 + sig0 * x
         avg = float(w @ (1.0 + (a + b * lam + c * lam**2) * np.exp(-(lam**2) / 2.0)))
         rl = RandomLambda(lambda0=lam0, sigma0=sig0)
-        assert random_lambda_probability(rl, 40, config, APPROX) == pytest.approx(avg, abs=1e-9)
+        assert random_lambda_probability(rl, 40, config, APPROX).value == pytest.approx(
+            avg, abs=1e-9)
 
     def test_large_n_limit_consistent_with_formula(self):
         # limit consistent with the formula's own exponent e^{-lam0^2/(2(s^2+1))}
@@ -318,7 +337,7 @@ class TestRandomLambda:
         config = ScanConfig(n_scans=5000)
         target = 1.0 - (1.0 / math.sqrt(sig0**2 + 1.0)) \
             * math.exp(-lam0**2 / (2.0 * (sig0**2 + 1.0))) / (2.0 * math.pi)
-        assert random_lambda_probability(rl, 2500, config, APPROX) == pytest.approx(
+        assert random_lambda_probability(rl, 2500, config, APPROX).value == pytest.approx(
             target, abs=0.005)
 
     def test_rejects_negative_sigma(self):
