@@ -37,7 +37,6 @@ class ExperimentSpec:
 
     experiment: str = "sweep-lambda"
     n_scans: int = 40
-    dt: float = 1.0
     scan: int = 0                  # 0 means "last"
     lambda_min: float = 1.0
     lambda_max: float = 4.0
@@ -65,7 +64,7 @@ def _validate(spec: ExperimentSpec) -> ExperimentSpec:
     if spec.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {spec.experiment!r}")
     try:
-        config = ScanConfig(n_scans=spec.n_scans, dt=spec.dt)
+        config = ScanConfig(n_scans=spec.n_scans)
         mc_oracle.TrialPlan(trials=spec.trials, seed=spec.seed, config=config)
         single_fa.RandomLambda(lambda0=0.0, sigma0=spec.sigma0)
         single_fa.fit_gammas(spec.n_steps, spec.support_k)
@@ -150,10 +149,6 @@ def _grid(lo, hi, step):
     return [min(round(lo + i * step, 10), hi) for i in range(count) if lo + i * step <= hi + 1e-9]
 
 
-def _fmt(x):
-    return f"{x:.10g}"
-
-
 def _lambda_grid(spec):
     return _grid(spec.lambda_min, spec.lambda_max, spec.lambda_step)
 
@@ -167,7 +162,7 @@ def _p_fa_grid(spec):
 
 
 def _single_row(spec, approx, lam, n_scans, scan):
-    config = ScanConfig(n_scans=n_scans, dt=spec.dt, lam=lam)
+    config = ScanConfig(n_scans=n_scans, lam=lam)
     row = {}
     if "exact" in spec.methods:
         row["exact"] = single_fa.exact_probability(scan, config)
@@ -189,7 +184,7 @@ def _n_row(spec, approx, n):
 
 
 def _random_lambda_row(spec, approx, lam0):
-    config = ScanConfig(n_scans=spec.n_scans, dt=spec.dt, lam=lam0)
+    config = ScanConfig(n_scans=spec.n_scans, lam=lam0)
     rl = single_fa.RandomLambda(lambda0=lam0, sigma0=spec.sigma0)
     row = {}
     if "closed-form" in spec.methods:
@@ -200,7 +195,7 @@ def _random_lambda_row(spec, approx, lam0):
 
 
 def _multi_fa_row(spec, approx, lam):
-    config = ScanConfig(n_scans=spec.n_scans, dt=spec.dt)
+    config = ScanConfig(n_scans=spec.n_scans)
     indices = tuple(range(spec.n_scans - spec.k + 1, spec.n_scans + 1))
     fa = multi_fa.FalseAssocSet(indices=indices, lambdas=(lam,) * spec.k)
     compound = {"chi2", "normal", "exponential"} & set(spec.methods)
@@ -281,7 +276,9 @@ def _experiment_rows(spec: ExperimentSpec):
 
 
 def write_csv(path, header, table):
-    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in table]
+    # x gets 15 digits, so grid points closer than 1e-10 (or to 1) print apart
+    lines = [",".join(header)] + [",".join([f"{x:.15g}"] + [f"{v:.10g}" for v in values])
+                                  for x, *values in table]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -1,8 +1,10 @@
 """Linear track-regression geometry.
 
-A constant-velocity target observed at equally spaced epochs tau = 0, dt, ...,
-n_scans*dt gives the batch regression z = X b + noise with state
-b = (x1, y1, vx, vy). All association statistics in this package reduce to
+A constant-velocity target observed at epochs tau = 0, 1, ..., n_scans gives
+the batch regression z = X b + noise with state b = (x1, y1, vx, vy). The
+epochs are at unit spacing because no other spacing changes a number: a
+spacing dt scales the time column of X by dt, which leaves its column space,
+and so M below, unchanged. All association statistics in this package reduce to
 quadratic forms in the residual projector M = I - X (X'X)^-1 X' and in
 Phi = M S M', where S is the noise covariance with the contaminated 2x2 blocks
 zeroed. Because the x and y coordinates decouple, every 2x2 block of M and Phi
@@ -33,20 +35,17 @@ class ScanConfig:
     """Scenario geometry.
 
     n_scans is the N of the closed forms; the batch holds n_scans + 1
-    measurement epochs at times 0, dt, ..., n_scans*dt. ``lam`` is the
+    measurement epochs at times 0, 1, ..., n_scans. ``lam`` is the
     contamination offset expressed as a ratio to the measurement noise
     standard deviation, so the noise is always unit-variance here.
     """
 
     n_scans: int
-    dt: float = 1.0
     lam: float = 0.0
 
     def __post_init__(self):
         if int(self.n_scans) != self.n_scans or self.n_scans < 5:
             raise GeometryError("n_scans must be an integer >= 5")
-        if not self.dt > 0:
-            raise GeometryError("dt must be positive")
         if self.lam < 0:
             raise GeometryError("lam must be nonnegative")
 
@@ -79,8 +78,8 @@ def _check_scan(l, config):
 
 
 def build_design(config: ScanConfig) -> np.ndarray:
-    """2*epochs x 4 design matrix; epoch j contributes the row pair [I2 | j*dt*I2]."""
-    taus = np.arange(config.epochs) * config.dt
+    """2*epochs x 4 design matrix; epoch j contributes the row pair [I2 | j*I2]."""
+    taus = np.arange(config.epochs, dtype=float)
     X = np.zeros((2 * config.epochs, 4))
     X[0::2, 0] = 1.0
     X[1::2, 1] = 1.0
@@ -90,8 +89,8 @@ def build_design(config: ScanConfig) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _cached_geometry(n_scans: int, dt: float) -> RegressionGeometry:
-    config = ScanConfig(n_scans=n_scans, dt=dt)
+def _cached_geometry(n_scans: int) -> RegressionGeometry:
+    config = ScanConfig(n_scans=n_scans)
     X = build_design(config)
     xtx = X.T @ X
     if np.linalg.cond(xtx) > 1e12:
@@ -102,7 +101,7 @@ def _cached_geometry(n_scans: int, dt: float) -> RegressionGeometry:
 
 def build_projector(config: ScanConfig) -> RegressionGeometry:
     """Design matrix and dense residual projector for the config's epoch grid."""
-    return _cached_geometry(config.n_scans, config.dt)
+    return _cached_geometry(config.n_scans)
 
 
 def leverage(l, config: ScanConfig) -> float:
@@ -130,8 +129,9 @@ def cross_alpha(lk, lk2, config: ScanConfig) -> float:
 def _excluded_sums(fa_indices, config):
     """Sums of (4N+2-6m)^2, cross term, (1-2m/N)^2 over epochs m not contaminated.
 
-    The dt factors of the q2/q3 terms of ``tabulated.variance_polynomials`` are
-    folded in, so the returned triple is dt-free.
+    The triple combines as s1 + (lk + lk2) s2 + lk lk2 s3, like the (q1, q2, q3)
+    of ``tabulated.variance_polynomials``; no epoch spacing appears in either
+    because none changes the projector (see the module docstring).
     """
     N = config.n_scans
     excluded = set(int(i) for i in fa_indices)

@@ -30,7 +30,9 @@ from .geometry import ScanConfig, build_projector
 from .multi_fa import FalseAssocSet
 from .single_fa import RandomLambda
 
-_DEFAULT_CHUNK = 1 << 16
+# Philox words drawn per chunk (512 KiB): the trials per chunk shrink as the
+# epoch count grows, so a chunk's memory does not grow with N.
+_CHUNK_WORDS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -80,8 +82,18 @@ def _philox_words(seed, tag, word_offset, n_words):
     return gen.random_raw(n_words)
 
 
+def _whole_blocks(n_words):
+    """n_words rounded up to whole 4-word Philox counter blocks."""
+    return ((n_words + 3) // 4) * 4
+
+
+def _uniforms(words):
+    """Uniforms in (0, 1) from the top 53 bits of each word."""
+    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
 def _words_to_normals(words):
-    u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    u = _uniforms(words)
     u1, u2 = u[0::2], u[1::2]
     r = np.sqrt(-2.0 * np.log(u1))
     z = np.empty(words.shape[0], dtype=np.float64)
@@ -91,13 +103,13 @@ def _words_to_normals(words):
 
 
 def _trial_words(epochs, with_lambda):
-    raw = 2 * epochs + (2 if with_lambda else 0)
-    return ((raw + 3) // 4) * 4
+    return _whole_blocks(2 * epochs + (2 if with_lambda else 0))
 
 
-def _noise_chunks(seed, trials, epochs, with_lambda, chunk_size):
+def _noise_chunks(seed, trials, epochs, with_lambda):
     """Yield (noise matrix, raw lambda draw z or None) per chunk, trial-indexed streams."""
     width = _trial_words(epochs, with_lambda)
+    chunk_size = max(1, _CHUNK_WORDS // width)
     dim = 2 * epochs
     done = 0
     while done < trials:
@@ -139,7 +151,7 @@ def _delta_for_chunk(noise, indices, lam_per_scan, projector):
     return qmq + 2.0 * qme
 
 
-def _count_stream(stream, members, chunk_size, hits):
+def _count_stream(stream, members, hits):
     """Add to hits[i] the trials of the stream where plan i's cost difference is >= 0.
 
     members are (i, plan, delta) with delta(noise, z, projector) -> the cost
@@ -147,12 +159,12 @@ def _count_stream(stream, members, chunk_size, hits):
     is drawn; one call per stream, so no chunk outlives its stream.
     """
     projectors = [build_projector(plan.config).projector for _, plan, _ in members]
-    for noise, z in _noise_chunks(*stream, chunk_size):
+    for noise, z in _noise_chunks(*stream):
         for (i, _, delta), projector in zip(members, projectors):
             hits[i] += int((delta(noise, z, projector) >= 0.0).sum())
 
 
-def _simulate(plans, member, chunk_size):
+def _simulate(plans, member):
     """One McEstimate per plan; plans that read the same stream share one pass of it.
 
     member(plan) validates the plan and returns (stream, delta); every plan is
@@ -164,7 +176,7 @@ def _simulate(plans, member, chunk_size):
         streams.setdefault(stream, []).append((i, plan, delta))
     hits = [0] * len(plans)
     for stream, group in streams.items():
-        _count_stream(stream, group, chunk_size, hits)
+        _count_stream(stream, group, hits)
     return [_estimate(h, plan.trials) for h, plan in zip(hits, plans)]
 
 
@@ -184,8 +196,7 @@ def _single_member(plan):
     return _stream(plan, rl is not None), delta
 
 
-def simulate_single_fa(*plans: TrialPlan,
-                       chunk_size: int = _DEFAULT_CHUNK) -> list[McEstimate]:
+def simulate_single_fa(*plans: TrialPlan) -> list[McEstimate]:
     """Estimate P(cost difference >= 0) for one contaminated scan, per plan.
 
     The decoy sits at (x_l, y_l - lam); lam is plan.config.lam, or drawn per
@@ -193,7 +204,7 @@ def simulate_single_fa(*plans: TrialPlan,
     order; every plan is validated before any noise is drawn, and each distinct
     noise stream (seed, trials, epochs, random lambda or not) is drawn once.
     """
-    return _simulate(plans, _single_member, chunk_size)
+    return _simulate(plans, _single_member)
 
 
 def _check_multi(plan):
@@ -214,18 +225,17 @@ def _multi_member(plan):
     return _stream(plan, False), delta
 
 
-def simulate_multi_fa(*plans: TrialPlan,
-                      chunk_size: int = _DEFAULT_CHUNK) -> list[McEstimate]:
+def simulate_multi_fa(*plans: TrialPlan) -> list[McEstimate]:
     """Estimate the multi-contamination probability, one McEstimate per plan.
 
     Same sharing and validation as ``simulate_single_fa``. A single
     contaminated scan reduces exactly to simulate_single_fa (same stream, same
     counts).
     """
-    return _simulate(plans, _multi_member, chunk_size)
+    return _simulate(plans, _multi_member)
 
 
-def sample_moments(plan: TrialPlan, chunk_size: int = _DEFAULT_CHUNK) -> MomentSample:
+def sample_moments(plan: TrialPlan) -> MomentSample:
     """Empirical moments of (m1, v1) over the plan's noise stream.
 
     m1 and v1 are evaluated from the dense projector blocks, keeping the oracle
@@ -248,7 +258,7 @@ def sample_moments(plan: TrialPlan, chunk_size: int = _DEFAULT_CHUNK) -> MomentS
 
     m1_parts = []
     v1_parts = []
-    for noise, _ in _noise_chunks(*_stream(plan, False), chunk_size):
+    for noise, _ in _noise_chunks(*_stream(plan, False)):
         ex = np.stack([noise[:, 2 * l] for l in idx], axis=1)
         ey = np.stack([noise[:, 2 * l + 1] for l in idx], axis=1)
         m1 = (np.einsum("ti,ij,tj->t", ex, a_blocks, ex)
@@ -276,13 +286,12 @@ def sample_moments(plan: TrialPlan, chunk_size: int = _DEFAULT_CHUNK) -> MomentS
         v1_mean=v1_mean, v1_mean_se=v1_mean_se, v1_var=v1_var, v1_var_se=v1_var_se)
 
 
-def simulate_conditional(e_l, l, config: ScanConfig, trials: int, seed: int,
-                         chunk_size: int = _DEFAULT_CHUNK) -> np.ndarray:
+def simulate_conditional(e_l, l, config: ScanConfig, trials: int, seed: int) -> np.ndarray:
     """Samples of the cost difference with the scan-l noise pinned to e_l."""
     plan = TrialPlan(trials=trials, seed=seed, config=config, scan=l)
     projector = build_projector(config).projector
     out = []
-    for noise, _ in _noise_chunks(*_stream(plan, False), chunk_size):
+    for noise, _ in _noise_chunks(*_stream(plan, False)):
         noise[:, 2 * l] = e_l[0]
         noise[:, 2 * l + 1] = e_l[1]
         lam_col = np.full((noise.shape[0], 1), config.lam)
@@ -306,9 +315,7 @@ class DtmcSimStats:
 
 
 def _decision_bits(seed, tag, offset, count, p):
-    words = _philox_words(seed, tag, offset, ((count + 3) // 4) * 4)[:count]
-    u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return u < p
+    return _uniforms(_philox_words(seed, tag, offset, _whole_blocks(count))[:count]) < p
 
 
 def simulate_dtmc(p_fa: float, steps: int, runs: int, seed: int) -> DtmcSimStats:
@@ -354,7 +361,7 @@ def simulate_dtmc(p_fa: float, steps: int, runs: int, seed: int) -> DtmcSimStats
         while alive.size:
             need = alive.size * block
             flat = _decision_bits(seed, tag, offset, need, p_fa).astype(np.int8)
-            offset += ((need + 3) // 4) * 4
+            offset += _whole_blocks(need)
             chunk = flat.reshape(alive.size, block)
             paired = np.concatenate([carry[alive, None], chunk], axis=1)
             hit = (paired[:, :-1] & paired[:, 1:]).astype(bool)

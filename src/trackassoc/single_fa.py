@@ -195,8 +195,8 @@ def random_lambda_probability(rl: RandomLambda, l, config: ScanConfig,
     is clamped to [0, 1] the same way.
     """
     a, b, c = closed_form_coefficients(l, config, approx)
-    s2 = rl.sigma0**2
-    lam_bar = rl.lambda0 / (s2 + 1.0)
-    s0_sq = s2 / (s2 + 1.0)
-    return _clamp(1.0 + (1.0 / math.sqrt(s2 + 1.0)) * (a + b * lam_bar + c * (lam_bar**2 + s0_sq))
-                  * math.exp(-rl.lambda0**2 / (2.0 * (s2 + 1.0))))
+    h = math.hypot(1.0, rl.sigma0)  # sqrt(sigma0^2 + 1) without overflow
+    lam_bar = rl.lambda0 / h / h
+    s0_sq = (rl.sigma0 / h) ** 2
+    return _clamp(1.0 + (a + b * lam_bar + c * (lam_bar**2 + s0_sq)) / h
+                  * math.exp(-((rl.lambda0 / h) ** 2) / 2.0))

@@ -21,15 +21,15 @@ from .single_fa import IndicatorApprox, conditional_law
 def variance_polynomials(l, config: ScanConfig):
     """Cubic terms (q1, q2, q3) of the variance coefficient; oracle: ``diag_coeffs().beta``.
 
-    q2 carries a 1/dt factor and q3 a 1/dt^2 factor, so the combination
-    q1 + 2*l*dt*q2 + l^2*dt^2*q3 is dt-free.
+    At the geometry's unit epoch spacing they combine as q1 + 2*l*q2 + l^2*q3;
+    the tabulated spacing factors (1/dt on q2, 1/dt^2 on q3) cancel in that
+    combination, as no spacing changes the projector.
     """
     _check_scan(l, config)
     N = float(config.n_scans)
-    dt = config.dt
     q1 = 4 * N**3 - 50 * N**2 + N * (48 * l - 18) + l * (24 - 36 * l) + 4
-    q2 = -(6.0 / dt) * (N**2 - 5 * N - 2 + 4 * l * (1 + 1 / N - 3 * l / N))
-    q3 = (36.0 / dt**2) * (N / 3 - 1 + (2 / N) * (1.0 / 3 + 2 * l - 2 * l / N**2))
+    q2 = -6.0 * (N**2 - 5 * N - 2 + 4 * l * (1 + 1 / N - 3 * l / N))
+    q3 = 36.0 * (N / 3 - 1 + (2 / N) * (1.0 / 3 + 2 * l - 2 * l / N**2))
     return q1, q2, q3
 
 

@@ -73,8 +73,7 @@ def test_criterion_02_closed_form_vs_numeric_geometry():
             worst_beta = max(worst_beta, float(np.abs(
                 phi_block - coeffs.beta * np.eye(2)).max()))
             q1, q2, q3 = variance_polynomials(l, config)
-            tabulated = (q1 + 2 * l * config.dt * q2
-                         + l * l * config.dt**2 * q3) / ((n + 1) ** 2 * (n + 2) ** 2)
+            tabulated = (q1 + 2 * l * q2 + l * l * q3) / ((n + 1) ** 2 * (n + 2) ** 2)
             offsets.append(f"(l={l},N={n}) tab/num={tabulated / coeffs.beta:+.3f}")
     documented = (REPO / "FINDINGS.md").exists() and \
         "variance_polynomials" in (REPO / "FINDINGS.md").read_text()
@@ -207,7 +206,7 @@ def test_criterion_09_kinematic_invariance():
     config = ScanConfig(n_scans=20, lam=2.0)
     l = 20
     x = build_design(config)
-    taus = np.arange(config.epochs) * config.dt
+    taus = np.arange(config.epochs, dtype=float)
     noise = np.random.default_rng(42).standard_normal((2 * config.epochs, 10_000))
 
     def cost_difference(velocity):

@@ -54,6 +54,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=":2:"):
             parse_config(cfg)
 
+    def test_epoch_spacing_is_an_unknown_key(self, tmp_path, capsys):
+        # the geometry has unit epoch spacing: no spacing changes a number
+        cfg = tmp_path / "dt.cfg"
+        cfg.write_text("dt=1\n")
+        with pytest.raises(ConfigError, match="unknown key 'dt'"):
+            parse_config(cfg)
+        assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_comments_and_blank_lines(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("# header\n\nn_scans = 12   # trailing\n")
@@ -88,13 +98,13 @@ class TestParseConfig:
         assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["dt=0\n", "n_steps=0\n", "support_k=0\n",
+    @pytest.mark.parametrize("text", ["n_steps=0\n", "support_k=0\n",
                                       "experiment=random-lambda\nsigma0=-1\n", "seed=-1\n",
-                                      "seed=18446744073709551616\n", "dt=inf\n",
+                                      "seed=18446744073709551616\n",
                                       "experiment=random-lambda\nsigma0=nan\n",
                                       "lambda_step=inf\n"],
-                             ids=["dt", "n_steps", "support_k", "sigma0", "seed-negative",
-                                  "seed-2^64", "dt-inf", "sigma0-nan", "lambda_step-inf"])
+                             ids=["n_steps", "support_k", "sigma0", "seed-negative",
+                                  "seed-2^64", "sigma0-nan", "lambda_step-inf"])
     def test_value_the_library_rejects(self, tmp_path, capsys, text):
         # each of these once passed parsing and died in run with a traceback
         cfg = tmp_path / "lib.cfg"
@@ -130,18 +140,23 @@ class TestSweepLambda:
             (out_b / "sweep-lambda.csv").read_bytes()
 
     def test_grid_draws_its_noise_once(self, tmp_path, monkeypatch):
-        # every lambda point reads the same stream, so one chunk serves the grid
+        # every lambda point reads the same stream, so the 31-point grid draws
+        # the chunks of a one-point grid
         import trackassoc.mc_oracle as mc
 
         calls = []
         words = mc._philox_words
         monkeypatch.setattr(mc, "_philox_words", lambda *a: calls.append(a) or words(*a))
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("methods=mc\ntrials=20000\n")
-        assert run(parse_config(cfg), tmp_path) == 0
+        chunks = []
+        for grid in ("", "lambda_min=2.0\nlambda_max=2.0\n"):
+            cfg.write_text("methods=mc\ntrials=20000\n" + grid)
+            assert run(parse_config(cfg), tmp_path) == 0
+            chunks.append(len(calls))
+            calls.clear()
         _, rows = read_csv(tmp_path / "sweep-lambda.csv")
-        assert len(rows) == 31
-        assert len(calls) == 1
+        assert len(rows) == 1
+        assert chunks[0] == chunks[1] > 1
 
     def test_jobs_parallel_output_identical(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -201,7 +216,8 @@ class TestGolden:
         assert max(_p_fa_grid(spec)) == spec.p_fa_max < 1.0
         assert run(spec, tmp_path) == 0
         _, rows = read_csv(tmp_path / "dtmc.csv")
-        assert len(rows) == len(_p_fa_grid(spec))
+        # the x column prints each point, not 1 for a p_fa within 1e-10 of it
+        assert [r[0] for r in rows] == _p_fa_grid(spec)
 
 
 class TestOtherExperiments:
@@ -242,6 +258,16 @@ class TestOtherExperiments:
                        "lambda_min=1.0\nlambda_max=2.0\nlambda_step=1.0\n")
         assert run(parse_config(cfg), tmp_path) == 0
         assert len(calls) == 2
+
+    def test_random_lambda_huge_sigma0(self, tmp_path):
+        # sigma0^2 once overflowed in the closed form
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text("experiment=random-lambda\nsigma0=1e300\ntrials=16\n")
+        assert run(parse_config(cfg), tmp_path) == 0
+        _, rows = read_csv(tmp_path / "random-lambda.csv")
+        for _, closed_form, p_hat, stderr in rows:
+            assert 0.0 <= closed_form <= 1.0 and 0.0 <= p_hat <= 1.0
+            assert math.isfinite(stderr)
 
     def test_random_lambda_runs(self, tmp_path):
         cfg = tmp_path / "r.cfg"
@@ -355,8 +381,9 @@ class TestMainEntry:
 class TestWriters:
     def test_csv_format_stable(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_csv(path, ["x", "y"], [[1.0, 1.0 / 3.0], [2.0, math.pi]])
-        assert path.read_text() == "x,y\n1,0.3333333333\n2,3.141592654\n"
+        write_csv(path, ["x", "y"], [[1.0, 1.0 / 3.0], [2.0, math.pi],
+                                     [0.999999999999, 0.999999999999]])
+        assert path.read_text() == "x,y\n1,0.3333333333\n2,3.141592654\n0.999999999999,1\n"
 
     def test_svg_rejects_empty(self, tmp_path):
         with pytest.raises(ValueError):
@@ -369,6 +396,23 @@ class TestWriters:
         # grid helper hits both endpoints
         rows = int(round((spec.lambda_max - spec.lambda_min) / spec.lambda_step)) + 1
         assert rows == 31
+
+
+class TestReadme:
+    def test_config_table_lists_every_key_with_its_default(self):
+        # the README's key table must follow ExperimentSpec, so no deleted key keeps a row
+        from dataclasses import fields
+
+        from trackassoc.cli import _KEYS, ExperimentSpec
+
+        text = (Path(__file__).parent.parent / "README.md").read_text()
+        table = text.split("| key | type | default | meaning |\n| --- | --- | --- | --- |\n")[1]
+        rows = [[cell.strip(" `") for cell in line.strip("|").split("|")]
+                for line in table.split("\n\n")[0].splitlines()]
+        types = {"int": "int", "float": "float", "str": "str", "tuple": "comma list"}
+        documented = [(key, kind, () if default == "empty" else _KEYS[key](default))
+                      for key, kind, default, _ in rows]
+        assert documented == [(f.name, types[f.type], f.default) for f in fields(ExperimentSpec)]
 
 
 class TestModuleBoundary:

@@ -9,8 +9,18 @@ from trackassoc.tabulated import variance_polynomials
 GRID_N = (5, 10, 20, 40, 80)
 
 
-def numeric_phi(config, indices):
-    m = build_projector(config).projector
+def scaled_projector(n_scans, dt):
+    """Residual projector of the design with epochs at times 0, dt, ..., n_scans*dt (via QR)."""
+    taus = np.arange(n_scans + 1) * dt
+    x = np.zeros((2 * (n_scans + 1), 4))
+    x[0::2, 0] = x[1::2, 1] = 1.0
+    x[0::2, 2] = x[1::2, 3] = taus
+    q, _ = np.linalg.qr(x)
+    return np.eye(x.shape[0]) - q @ q.T
+
+
+def numeric_phi(config, indices, m=None):
+    m = build_projector(config).projector if m is None else m
     sel = np.eye(2 * config.epochs)
     for l in indices:
         sel[2 * l, 2 * l] = 0.0
@@ -24,8 +34,9 @@ class TestScanConfig:
             ScanConfig(n_scans=4)
 
     def test_rejects_bad_dt_and_lam(self):
-        with pytest.raises(GeometryError):
-            ScanConfig(n_scans=10, dt=0.0)
+        # the epoch spacing is not a parameter: none changes the projector
+        with pytest.raises(TypeError):
+            ScanConfig(n_scans=10, dt=2.0)
         with pytest.raises(GeometryError):
             ScanConfig(n_scans=10, lam=-1.0)
 
@@ -35,16 +46,16 @@ class TestScanConfig:
 
 class TestDesign:
     def test_first_two_epoch_blocks(self):
-        x = build_design(ScanConfig(n_scans=5, dt=1.0))
+        x = build_design(ScanConfig(n_scans=5))
         expected = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1]],
                             dtype=float)
         np.testing.assert_array_equal(x[:4], expected)
 
     def test_time_scaling(self):
-        x = build_design(ScanConfig(n_scans=5, dt=2.0))
-        # epoch 2 sits at tau = 4
-        assert x[4, 2] == 4.0
-        assert x[5, 3] == 4.0
+        # epoch j sits at tau = j
+        x = build_design(ScanConfig(n_scans=5))
+        np.testing.assert_array_equal(x[0::2, 2], np.arange(6.0))
+        np.testing.assert_array_equal(x[1::2, 3], np.arange(6.0))
 
     @pytest.mark.parametrize("n", GRID_N)
     def test_full_column_rank(self, n):
@@ -53,6 +64,14 @@ class TestDesign:
 
 
 class TestProjector:
+    @pytest.mark.parametrize("dt", (1e-3, 0.5, 2.0, 1e3))
+    def test_epoch_spacing_changes_nothing(self, dt):
+        # scaling the time column keeps the design's column space
+        for n in (5, 40, 200):
+            np.testing.assert_allclose(scaled_projector(n, dt),
+                                       build_projector(ScanConfig(n_scans=n)).projector,
+                                       rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("n", GRID_N)
     def test_identities(self, n):
         config = ScanConfig(n_scans=n)
@@ -104,12 +123,15 @@ class TestDiagCoeffs:
             np.testing.assert_allclose(block, beta * np.eye(2), rtol=0, atol=1e-8)
 
     def test_beta_positive_and_dt_invariant(self):
+        # the coefficients are those of the projector at any epoch spacing
+        config = ScanConfig(n_scans=40)
+        c = diag_coeffs(13, config)
+        assert c.beta > 0
         for dt in (0.5, 1.0, 2.0):
-            c = diag_coeffs(13, ScanConfig(n_scans=40, dt=dt))
-            ref = diag_coeffs(13, ScanConfig(n_scans=40, dt=1.0))
-            assert c.beta > 0
-            assert c.beta == pytest.approx(ref.beta, rel=1e-12)
-            assert c.alpha == pytest.approx(ref.alpha, rel=1e-12)
+            m = scaled_projector(40, dt)
+            phi = numeric_phi(config, [13], m)
+            assert phi[26, 26] == pytest.approx(c.beta, rel=1e-10)
+            assert -m[26, 26] == pytest.approx(c.alpha, rel=1e-12)
 
     def test_beta_asymptote_last_scan(self):
         # beta(l=N) ~ 4/N for large N; within 10% by N=100
@@ -149,14 +171,15 @@ class TestVariancePolynomials:
             assert at_zero == pytest.approx(4 * nf**3 - 50 * nf**2 - 18 * nf + 4, rel=1e-12)
 
     def test_combination_dt_invariant(self):
-        for dt in (0.5, 1.0, 2.0):
-            config = ScanConfig(n_scans=30, dt=dt)
-            l = 11
-            q1, q2, q3 = variance_polynomials(l, config)
-            combo = q1 + 2 * l * dt * q2 + l**2 * dt**2 * q3
-            ref_cfg = ScanConfig(n_scans=30, dt=1.0)
-            r1, r2, r3 = variance_polynomials(l, ref_cfg)
-            assert combo == pytest.approx(r1 + 2 * l * r2 + l**2 * r3, rel=1e-12)
+        # the tabulated cubics at spacing dt, with their 1/dt and 1/dt^2
+        # factors, combine to the unit-spacing combination at every dt
+        n, l = 30.0, 11
+        q1, q2, q3 = variance_polynomials(l, ScanConfig(n_scans=30))
+        unit = q1 + 2 * l * q2 + l**2 * q3
+        for dt in (1e-3, 0.5, 2.0, 1e3):
+            t2 = -(6.0 / dt) * (n**2 - 5 * n - 2 + 4 * l * (1 + 1 / n - 3 * l / n))
+            t3 = (36.0 / dt**2) * (n / 3 - 1 + (2 / n) * (1.0 / 3 + 2 * l - 2 * l / n**2))
+            assert q1 + 2 * l * dt * t2 + l**2 * dt**2 * t3 == pytest.approx(unit, rel=1e-12)
 
     def test_combination_bias_vs_oracle_is_the_documented_one(self):
         # the tabulated combination does NOT reproduce the projector oracle;

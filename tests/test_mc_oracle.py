@@ -16,11 +16,17 @@ class TestReproducibility:
         plan = TrialPlan(trials=30_000, seed=123, config=CONFIG, scan=20)
         assert simulate_single_fa(plan) == simulate_single_fa(plan)
 
-    def test_chunk_size_invariance(self):
+    def test_chunk_size_invariance(self, monkeypatch):
+        # one trial takes 44 words at N=20: one chunk at the default size,
+        # then 1000, 4096 and 29_999 trials per chunk
+        import trackassoc.mc_oracle as mc
+
         plan = TrialPlan(trials=30_000, seed=123, config=CONFIG, scan=20)
-        ref = simulate_single_fa(plan, chunk_size=1 << 16)
+        monkeypatch.setattr(mc, "_CHUNK_WORDS", 44 * 30_000)
+        ref = simulate_single_fa(plan)
         for chunk in (1000, 4096, 29_999):
-            assert simulate_single_fa(plan, chunk_size=chunk) == ref
+            monkeypatch.setattr(mc, "_CHUNK_WORDS", 44 * chunk)
+            assert simulate_single_fa(plan) == ref
 
     def test_seed_changes_stream(self):
         a, = simulate_single_fa(TrialPlan(trials=30_000, seed=1, config=CONFIG, scan=20))
@@ -37,10 +43,14 @@ class TestReproducibility:
         large, = simulate_single_fa(TrialPlan(trials=100_000, seed=3, config=CONFIG, scan=20))
         assert large.stderr == pytest.approx(small.stderr / 2.0, rel=0.02)
 
-    def test_random_lambda_reproducible(self):
+    def test_random_lambda_reproducible(self, monkeypatch):
+        import trackassoc.mc_oracle as mc
+
         rl = RandomLambda(lambda0=2.0, sigma0=1.0)
         plan = TrialPlan(trials=20_000, seed=5, config=CONFIG, scan=20, random_lambda=rl)
-        assert simulate_single_fa(plan) == simulate_single_fa(plan, chunk_size=777)
+        ref = simulate_single_fa(plan)
+        monkeypatch.setattr(mc, "_CHUNK_WORDS", 44 * 777)  # 44 words a trial at N=20
+        assert simulate_single_fa(plan) == ref
 
 
 class TestSingleFa:
@@ -145,24 +155,26 @@ class TestSharedPass:
         plans = [TrialPlan(trials=8_000, seed=1, config=ScanConfig(n_scans=20, lam=2.0)),
                  TrialPlan(trials=8_000, seed=2, config=ScanConfig(n_scans=30, lam=2.0)),
                  TrialPlan(trials=8_000, seed=1, config=ScanConfig(n_scans=20, lam=1.0), scan=3),
-                 TrialPlan(trials=8_000, seed=1, config=ScanConfig(n_scans=20, dt=0.5, lam=2.0)),
+                 TrialPlan(trials=8_000, seed=1, config=ScanConfig(n_scans=20, lam=2.0), scan=11),
                  TrialPlan(trials=9_000, seed=1, config=ScanConfig(n_scans=20, lam=2.0)),
                  TrialPlan(trials=8_000, seed=2, config=ScanConfig(n_scans=20, lam=2.0))]
         ests = simulate_single_fa(*plans)
         assert ests == self.one_by_one(simulate_single_fa, plans)
         assert [est.trials for est in ests] == [plan.trials for plan in plans]
 
-    def test_chunks_smaller_than_the_stream(self):
+    def test_chunks_smaller_than_the_stream(self, monkeypatch):
+        import trackassoc.mc_oracle as mc
+
         plans = [TrialPlan(trials=5_000, seed=3, config=ScanConfig(n_scans=20, lam=lam), scan=20)
                  for lam in (1.0, 2.0, 3.0)]
         plans.append(TrialPlan(trials=5_000, seed=3, config=CONFIG, scan=20,
                                random_lambda=RandomLambda(lambda0=2.0, sigma0=1.0)))
-        assert simulate_single_fa(*plans, chunk_size=777) == \
-            self.one_by_one(simulate_single_fa, plans)
         fas = [FalseAssocSet((18, 20), (lam, lam)) for lam in (1.0, 2.0)]
         multi = [TrialPlan(trials=5_000, seed=3, config=CONFIG, fa=fa) for fa in fas]
-        assert simulate_multi_fa(*multi, chunk_size=777) == \
-            self.one_by_one(simulate_multi_fa, multi)
+        ref = (self.one_by_one(simulate_single_fa, plans),
+               self.one_by_one(simulate_multi_fa, multi))
+        monkeypatch.setattr(mc, "_CHUNK_WORDS", 44 * 777)  # 777 trials a chunk at N=20
+        assert (simulate_single_fa(*plans), simulate_multi_fa(*multi)) == ref
 
     def test_each_stream_drawn_once(self, monkeypatch):
         import trackassoc.mc_oracle as mc
@@ -172,7 +184,8 @@ class TestSharedPass:
         monkeypatch.setattr(mc, "_philox_words", lambda *a: calls.append(a) or words(*a))
         plans = [TrialPlan(trials=3_000, seed=seed, config=ScanConfig(n_scans=20, lam=lam))
                  for seed in (1, 2) for lam in (1.0, 2.0, 3.0)]
-        simulate_single_fa(*plans, chunk_size=1_000)
+        monkeypatch.setattr(mc, "_CHUNK_WORDS", 44 * 1_000)  # 44 words a trial at N=20
+        simulate_single_fa(*plans)
         assert len(calls) == 2 * 3
 
     @pytest.mark.parametrize("simulate,bad", [
