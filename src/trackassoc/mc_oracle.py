@@ -6,7 +6,20 @@ into normals by Box-Muller, which consumes exactly one word per normal), so
 trial t always sees the same draws no matter the chunk size, execution order,
 or thread count. Costs are evaluated through the dense residual projector --
 never through the closed-form coefficients under test -- and the brute-force
-least-squares route is cross-checked in the test suite.
+least-squares route is cross-checked in the test suite. Each trial's
+projections are summed on their own (einsum, not BLAS), so no sample, and no
+count, depends on how many trials share a chunk.
+
+Normals: words 2i and 2i+1 give uniforms u1, u2 in (0, 1) (the top 53 bits),
+and z[2i], z[2i+1] = r cos(2 pi u2), r sin(2 pi u2) with r = sqrt(-2 ln u1).
+The cosine and sine come straight from u2, never from the rounded product
+2 pi u2: v = 4 u2 is exact, q = rint(v), x = (v - q) pi/2 with |x| <= pi/4,
+two fixed polynomials in x^2 (Cephes sin.c) give sin x and cos x, and the
+quadrant q mod 4 rotates them. The work runs in blocks of a few thousand
+pairs on reused buffers, which changes no value. Each normal lies within
+4 eps max(1, |z|) of a long-double evaluation of the same formula from the
+same u1, u2 (about 2.1 eps measured); np.cos and np.sin of 2 pi u2 erred by
+up to 13.5 eps (FINDINGS.md item 20).
 
 The simulators take every plan of a grid at once and draw each distinct
 stream once: plans with the same seed, trial count and epoch count (and the
@@ -33,6 +46,24 @@ from .single_fa import RandomLambda
 # Philox words drawn per chunk (512 KiB): the trials per chunk shrink as the
 # epoch count grows, so a chunk's memory does not grow with N.
 _CHUNK_WORDS = 1 << 16
+
+# Box-Muller pairs per block: the block's nine work arrays (576 KiB) stay in a
+# typical L2 cache, and numpy's per-call cost is spread over enough pairs.
+_PAIRS_PER_BLOCK = 8192
+
+# sin x = x + x^3 S(x^2) and cos x = 1 - x^2/2 + x^4 C(x^2) on |x| <= pi/4:
+# the coefficients of S and C, highest degree first (Cephes sin.c, Moshier 1989).
+_SIN_COEFS = (1.58962301576546568060e-10, -2.50507477628578072866e-8,
+              2.75573136213857245213e-6, -1.98412698295895385996e-4,
+              8.33333333332211858878e-3, -1.66666666666666307295e-1)
+_COS_COEFS = (-1.13585365213876817300e-11, 2.08757008419747316778e-9,
+              -2.75573141792967388112e-7, 2.48015872888517045348e-5,
+              -1.38888888888730564116e-3, 4.16666666666665929218e-2)
+
+# cos(q pi/2 + x) = a cos x + b sin x and sin(q pi/2 + x) = a sin x - b cos x,
+# with a = cos(q pi/2) and b = -sin(q pi/2) read from these tables at q mod 4.
+_QUARTER_COS = np.array([1.0, 0.0, -1.0, 0.0])
+_QUARTER_NEG_SIN = np.array([0.0, -1.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -93,13 +124,61 @@ def _uniforms(words):
 
 
 def _words_to_normals(words):
-    u = _uniforms(words)
-    u1, u2 = u[0::2], u[1::2]
-    r = np.sqrt(-2.0 * np.log(u1))
-    z = np.empty(words.shape[0], dtype=np.float64)
-    z[0::2] = r * np.cos(2.0 * np.pi * u2)
-    z[1::2] = r * np.sin(2.0 * np.pi * u2)
+    """Box-Muller normals, one per word (see the module docstring)."""
+    pairs = words.shape[0] // 2
+    z = np.empty(2 * pairs)
+    work = np.empty((9, min(pairs, _PAIRS_PER_BLOCK)))
+    for lo in range(0, pairs, _PAIRS_PER_BLOCK):
+        hi = min(pairs, lo + _PAIRS_PER_BLOCK)
+        _box_muller(words[2 * lo:2 * hi], z[2 * lo:2 * hi], work[:, :hi - lo])
     return z
+
+
+def _horner(y, coefs, out):
+    """The polynomial with coefs (highest degree first) at y, into out."""
+    out.fill(coefs[0])
+    for c in coefs[1:]:
+        out *= y
+        out += c
+
+
+def _box_muller(words, z, work):
+    """z[2i], z[2i+1] = r cos(2 pi u2), r sin(2 pi u2) from words 2i, 2i+1."""
+    r, x, q, y, p, cos, sin, a, b = work
+    np.right_shift(words[0::2], 11, out=r, casting="unsafe")
+    r += 0.5
+    r *= 2.0**-53                     # u1, as _uniforms gives it
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    np.right_shift(words[1::2], 11, out=x, casting="unsafe")
+    x += 0.5
+    x *= 2.0**-51                     # v = 4 u2, exact
+    np.rint(x, out=q)
+    x -= q                            # exact, |v - q| <= 1/2
+    x *= np.pi / 2                    # 2 pi u2 = q pi/2 + x, |x| <= pi/4
+    np.multiply(x, x, out=y)
+    _horner(y, _SIN_COEFS, out=p)
+    p *= y
+    p *= x
+    np.add(x, p, out=sin)             # sin x = x + x^3 S(x^2)
+    _horner(y, _COS_COEFS, out=p)
+    p *= y
+    p *= y
+    np.multiply(y, -0.5, out=cos)
+    cos += 1.0
+    cos += p                          # cos x = 1 - x^2/2 + x^4 C(x^2)
+    quadrant = q.astype(np.intp)      # 0..4; mode="wrap" reads it mod 4
+    np.take(_QUARTER_COS, quadrant, out=a, mode="wrap")
+    np.take(_QUARTER_NEG_SIN, quadrant, out=b, mode="wrap")
+    a *= r
+    b *= r
+    np.multiply(a, cos, out=y)
+    np.multiply(b, sin, out=p)
+    np.add(y, p, out=z[0::2])         # r cos(q pi/2 + x) = r (a cos x + b sin x)
+    np.multiply(a, sin, out=y)
+    np.multiply(b, cos, out=p)
+    np.subtract(y, p, out=z[1::2])    # r sin(q pi/2 + x) = r (a sin x - b cos x)
 
 
 def _trial_words(epochs, with_lambda):
@@ -135,19 +214,24 @@ def _estimate(successes, trials):
 
 
 def _delta_for_chunk(noise, indices, lam_per_scan, projector):
-    """Cost difference per trial: q'Mq + 2 q'M eps with q = decoy - noise, sparse."""
-    rows_x = [projector[2 * l] for l in indices]
-    rows_y = [projector[2 * l + 1] for l in indices]
-    ex = np.stack([noise[:, 2 * l] for l in indices], axis=1)
-    ey = np.stack([noise[:, 2 * l + 1] for l in indices], axis=1)
-    qx = -ex
-    qy = -(lam_per_scan + ey)
-    a = np.array([[projector[2 * la, 2 * lb] for lb in indices] for la in indices])
+    """Cost difference per trial: q'Mq + 2 q'M eps with q = decoy - noise, sparse.
+
+    One einsum gives every trial's projections M eps at the decoy rows; it sums
+    each trial's row on its own, where a BLAS product's summation order depends
+    on the chunk's row count.
+    """
+    k = len(indices)
+    rows = [2 * l for l in indices] + [2 * l + 1 for l in indices]
+    e = noise[:, rows]
+    m = np.einsum("td,kd->tk", noise, projector[rows])
+    a = projector[np.ix_(rows[:k], rows[:k])]
+    qx = -e[:, :k]
+    qy = -(lam_per_scan + e[:, k:])
     qmq = (np.einsum("ti,ij,tj->t", qx, a, qx)
            + np.einsum("ti,ij,tj->t", qy, a, qy))
     qme = np.zeros(noise.shape[0])
-    for i in range(len(indices)):
-        qme += qx[:, i] * (noise @ rows_x[i]) + qy[:, i] * (noise @ rows_y[i])
+    for i in range(k):
+        qme += qx[:, i] * m[:, i] + qy[:, i] * m[:, k + i]
     return qmq + 2.0 * qme
 
 

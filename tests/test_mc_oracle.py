@@ -53,6 +53,73 @@ class TestReproducibility:
         assert simulate_single_fa(plan) == ref
 
 
+class TestBoxMuller:
+    """The normals against a long-double reference and the former libm route."""
+
+    @staticmethod
+    def words():
+        # 2^21 random words, then pairs whose second word is 0, 2^64 - 1, or
+        # gives u2 = k/4 +- a few 2^-53 steps, where the quadrant changes
+        import trackassoc.mc_oracle as mc
+
+        rand = mc._philox_words(11, 0, 0, 1 << 21)
+        top = np.array([k * 2**51 + j for k in range(5) for j in range(-4, 4)
+                        if 0 <= k * 2**51 + j < 2**53], dtype=np.uint64)
+        edges = np.concatenate([top << np.uint64(11),
+                                np.array([0, 2**64 - 1], dtype=np.uint64)])
+        pairs = np.empty(2 * edges.shape[0], dtype=np.uint64)
+        pairs[0::2] = rand[:edges.shape[0]]
+        pairs[1::2] = edges
+        return np.concatenate([rand, pairs, np.array([0, 0, 2**64 - 1, 2**64 - 1],
+                                                     dtype=np.uint64)])
+
+    @staticmethod
+    def libm_normals(words):
+        # the former route: np.cos and np.sin of the rounded product 2 pi u2
+        import trackassoc.mc_oracle as mc
+
+        u = mc._uniforms(words)
+        r = np.sqrt(-2.0 * np.log(u[0::2]))
+        z = np.empty(words.shape[0])
+        z[0::2] = r * np.cos(2.0 * np.pi * u[1::2])
+        z[1::2] = r * np.sin(2.0 * np.pi * u[1::2])
+        return z
+
+    def test_within_four_eps_of_long_double(self):
+        import trackassoc.mc_oracle as mc
+
+        words = self.words()
+        z = mc._words_to_normals(words)
+        u = mc._uniforms(words).astype(np.longdouble)
+        two_pi = 8 * np.arctan(np.longdouble(1))
+        r = np.sqrt(-2 * np.log(u[0::2]))
+        ref = np.empty(words.shape[0], dtype=np.longdouble)
+        ref[0::2] = r * np.cos(two_pi * u[1::2])
+        ref[1::2] = r * np.sin(two_pi * u[1::2])
+        err = np.abs(z.astype(np.longdouble) - ref)
+        assert np.all(err <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(z)))
+
+    def test_within_1e_14_of_libm(self):
+        import trackassoc.mc_oracle as mc
+
+        words = self.words()
+        assert np.abs(mc._words_to_normals(words) - self.libm_normals(words)).max() <= 1e-14
+
+    def test_blocks_change_nothing(self, monkeypatch):
+        import trackassoc.mc_oracle as mc
+
+        block = 2 * mc._PAIRS_PER_BLOCK  # words
+        words = mc._philox_words(5, 0, 0, 3 * block + 12)
+        ref = mc._words_to_normals(words)
+        for split in (2, block // 2, block, block + 2, 3 * block):
+            np.testing.assert_array_equal(
+                np.concatenate([mc._words_to_normals(words[:split]),
+                                mc._words_to_normals(words[split:])]), ref)
+        for pairs in (1, 3, 7):
+            monkeypatch.setattr(mc, "_PAIRS_PER_BLOCK", pairs)
+            np.testing.assert_array_equal(mc._words_to_normals(words[:1000]), ref[:1000])
+
+
 class TestSingleFa:
     def test_zero_offset_matches_quadrature(self):
         # decoy on the true position: only the removed noise separates the fits
@@ -260,12 +327,42 @@ class TestCostAlgebra:
             assert shortcut == pytest.approx(direct, abs=1e-9)
 
 
+class TestChunkRows:
+    @pytest.mark.parametrize("scans", [(20,), (1,), (17, 18, 19, 20)])
+    def test_cost_difference_does_not_depend_on_rows_per_chunk(self, scans):
+        # 42 normals a trial at N=20; every split of the trials gives the same
+        # cost differences, bit for bit
+        import trackassoc.mc_oracle as mc
+        from trackassoc.geometry import build_projector
+
+        projector = build_projector(CONFIG).projector
+        noise = mc._words_to_normals(mc._philox_words(3, 0, 0, 3000 * 42)).reshape(3000, 42)
+        lam = np.linspace(0.5, 2.0, len(scans))[None, :]
+        ref = mc._delta_for_chunk(noise, list(scans), lam, projector)
+        for rows in (1, 3, 64, 1000):
+            np.testing.assert_array_equal(np.concatenate(
+                [mc._delta_for_chunk(noise[i:i + rows], list(scans), lam, projector)
+                 for i in range(0, 3000, rows)]), ref)
+
+
 class TestConditionalSampler:
     def test_pinned_noise_changes_nothing_else(self):
         delta_a = simulate_conditional((0.5, -0.5), 20, CONFIG, trials=5000, seed=2)
         delta_b = simulate_conditional((0.5, -0.5), 20, CONFIG, trials=5000, seed=2)
         np.testing.assert_array_equal(delta_a, delta_b)
         assert delta_a.shape == (5000,)
+
+    @pytest.mark.parametrize("seed", (2, 99))
+    def test_samples_do_not_depend_on_chunk_size(self, monkeypatch, seed):
+        # 40 words a trial at N=20: 1638 trials a chunk at the default size,
+        # then all 70_000 trials at 65_536 a chunk, and 1489 a chunk
+        import trackassoc.mc_oracle as mc
+
+        ref = simulate_conditional((0.3, -0.4), 20, CONFIG, trials=70_000, seed=seed)
+        for chunk in (65_536, 1489):
+            monkeypatch.setattr(mc, "_CHUNK_WORDS", 40 * chunk)
+            np.testing.assert_array_equal(
+                simulate_conditional((0.3, -0.4), 20, CONFIG, trials=70_000, seed=seed), ref)
 
 
 class TestDtmcSimulation:
