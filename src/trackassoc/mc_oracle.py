@@ -2,16 +2,19 @@
 
 Randomness discipline: every estimate is driven by Philox counter streams.
 A trial owns a fixed, precomputed window of 64-bit words (uniforms are turned
-into normals by Box-Muller, which consumes exactly one word per normal), so
-trial t always sees the same draws no matter the chunk size, execution order,
-or thread count. Costs are evaluated through the dense residual projector --
-never through the closed-form coefficients under test -- and the brute-force
-least-squares route is cross-checked in the test suite. Each trial's
-projections are summed on their own (einsum, not BLAS), so no sample, and no
-count, depends on how many trials share a chunk.
+into normals by Box-Muller, which consumes exactly one word per normal): trial
+t of a stream whose trials are w words wide reads words [t w, (t+1) w) of its
+seed's sequence, so it always sees the same draws no matter the chunk size,
+execution order, or thread count. Costs are evaluated through the dense
+residual projector -- never through the closed-form coefficients under test --
+and the brute-force least-squares route is cross-checked in the test suite.
+Each trial's projections are summed on their own (einsum, not BLAS), so no
+sample, and no count, depends on how many trials share a chunk.
 
-Normals: words 2i and 2i+1 give uniforms u1, u2 in (0, 1) (the top 53 bits),
-and z[2i], z[2i+1] = r cos(2 pi u2), r sin(2 pi u2) with r = sqrt(-2 ln u1).
+Normals: words 2i and 2i+1 give uniforms u1, u2 in (0, 1] (the top 53 bits m,
+as (m + 1/2) 2^-53 rounded to double: on [0.5, 1) that rounds to an even
+multiple of 2^-53, and m = 2^53 - 1 gives exactly 1, so r = 0 there), and
+z[2i], z[2i+1] = r cos(2 pi u2), r sin(2 pi u2) with r = sqrt(-2 ln u1).
 The cosine and sine come straight from u2, never from the rounded product
 2 pi u2: v = 4 u2 is exact, q = rint(v), x = (v - q) pi/2 with |x| <= pi/4,
 two fixed polynomials in x^2 (Cephes sin.c) give sin x and cos x, and the
@@ -21,11 +24,12 @@ pairs on reused buffers, which changes no value. Each normal lies within
 same u1, u2 (about 2.1 eps measured); np.cos and np.sin of 2 pi u2 erred by
 up to 13.5 eps (FINDINGS.md item 20).
 
-The simulators take every plan of a grid at once and draw each distinct
-stream once: plans with the same seed, trial count and epoch count (and the
-same choice of a random offset) read identical noise, so every grid point is
-evaluated inside each chunk of one shared pass (common random numbers). The
-counts are those of one call per plan, bit for bit.
+Every stream of a seed is a prefix of the same word sequence, and a normal
+depends only on its own even-aligned word pair. So the simulators take every
+plan of a grid at once and, per seed, draw the words up to the longest
+stream's end once and turn each into a normal once; every grid point of the
+seed is evaluated on the whole trials each window of that pass holds (common
+random numbers). The counts are those of one call per plan, bit for bit.
 
 The kinematic state cancels from the cost difference (the projector annihilates
 the design matrix), so it is computed from the noise alone; the tests check this
@@ -43,8 +47,9 @@ from .geometry import ScanConfig, build_projector
 from .multi_fa import FalseAssocSet
 from .single_fa import RandomLambda
 
-# Philox words drawn per chunk (512 KiB): the trials per chunk shrink as the
-# epoch count grows, so a chunk's memory does not grow with N.
+# Philox words drawn per window of a seed's pass (512 KiB), rounded down to
+# whole trials of the seed's widest stream: the trials per window shrink as the
+# epoch count grows, so a window's memory does not grow with N.
 _CHUNK_WORDS = 1 << 16
 
 # Box-Muller pairs per block: the block's nine work arrays (576 KiB) stay in a
@@ -119,14 +124,19 @@ def _whole_blocks(n_words):
 
 
 def _uniforms(words):
-    """Uniforms in (0, 1) from the top 53 bits of each word."""
+    """Uniforms in (0, 1] from the top 53 bits m of each word: (m + 1/2) 2^-53.
+
+    The sum rounds to double: on [0.5, 1) to an even multiple of 2^-53 (so
+    m = 2^52 + 1 and 2^52 + 2 give the same u), and m = 2^53 - 1 (words from
+    2^64 - 2^11 up) gives exactly 1. The least is 2^-54, at m = 0.
+    """
     return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
-def _words_to_normals(words):
-    """Box-Muller normals, one per word (see the module docstring)."""
+def _words_to_normals(words, out=None):
+    """Box-Muller normals, one per word (see the module docstring), into out if given."""
     pairs = words.shape[0] // 2
-    z = np.empty(2 * pairs)
+    z = np.empty(2 * pairs) if out is None else out
     work = np.empty((9, min(pairs, _PAIRS_PER_BLOCK)))
     for lo in range(0, pairs, _PAIRS_PER_BLOCK):
         hi = min(pairs, lo + _PAIRS_PER_BLOCK)
@@ -185,27 +195,46 @@ def _trial_words(epochs, with_lambda):
     return _whole_blocks(2 * epochs + (2 if with_lambda else 0))
 
 
-def _noise_chunks(seed, trials, epochs, with_lambda):
-    """Yield (noise matrix, raw lambda draw z or None) per chunk, trial-indexed streams."""
-    width = _trial_words(epochs, with_lambda)
-    chunk_size = max(1, _CHUNK_WORDS // width)
-    dim = 2 * epochs
-    done = 0
-    while done < trials:
-        count = min(chunk_size, trials - done)
-        words = _philox_words(seed, 0, done * width, count * width)
-        block = words.reshape(count, width)
-        noise = _words_to_normals(block[:, :dim].ravel()).reshape(count, dim)
-        z = None
-        if with_lambda:
-            z = _words_to_normals(block[:, dim:dim + 2].ravel()).reshape(count, 2)[:, 0]
-        yield noise, z
-        done += count
-
-
 def _stream(plan, with_lambda):
-    """The noise stream a plan reads, as the leading arguments of ``_noise_chunks``."""
-    return plan.seed, plan.trials, plan.config.epochs, with_lambda
+    """The stream a plan reads from its seed's words: (trials, epochs, random lambda or not)."""
+    return plan.trials, plan.config.epochs, with_lambda
+
+
+def _seed_pass(seed, streams):
+    """Yield (stream, noise, z) for the streams of one seed, a window at a time.
+
+    The words up to the longest stream's end are drawn and turned into normals
+    once, window by window, into one reused buffer. Each stream then gets the
+    whole trials of it that the buffer holds: noise (trials x 2 epochs,
+    contiguous, possibly a view of the buffer: read it, do not write it) and,
+    for a random offset, z (the normal after the noise), else None. A window
+    holds whole trials of the widest stream; the trial of a narrower stream
+    that a window edge cuts moves to the front of the buffer.
+    """
+    widths = {(trials, epochs, with_lambda): _trial_words(epochs, with_lambda)
+              for trials, epochs, with_lambda in streams}
+    ends = {stream: stream[0] * width for stream, width in widths.items()}
+    end = max(ends.values())
+    widest = max(widths.values())
+    window = max(1, _CHUNK_WORDS // widest) * widest
+    normals = np.empty(window + widest)
+    start = dict.fromkeys(widths, 0)       # first word of each stream's next trial
+    kept = 0                               # normals carried over at the buffer's front
+    for lo in range(0, end, window):
+        hi = min(end, lo + window)
+        _words_to_normals(_philox_words(seed, 0, lo, hi - lo), normals[kept:kept + hi - lo])
+        base = lo - kept                   # the word that normals[0] came from
+        for stream, width in widths.items():
+            _, epochs, with_lambda = stream
+            stop = min(hi, ends[stream]) // width * width
+            if stop > start[stream]:
+                rows = normals[start[stream] - base:stop - base].reshape(-1, width)
+                yield (stream, np.ascontiguousarray(rows[:, :2 * epochs]),
+                       rows[:, 2 * epochs] if with_lambda else None)
+                start[stream] = stop
+        cut = min((w for stream, w in start.items() if w < ends[stream]), default=hi)
+        kept = hi - cut
+        normals[:kept] = normals[cut - base:hi - base]
 
 
 def _estimate(successes, trials):
@@ -235,32 +264,23 @@ def _delta_for_chunk(noise, indices, lam_per_scan, projector):
     return qmq + 2.0 * qme
 
 
-def _count_stream(stream, members, hits):
-    """Add to hits[i] the trials of the stream where plan i's cost difference is >= 0.
-
-    members are (i, plan, delta) with delta(noise, z, projector) -> the cost
-    differences of one chunk. Each plan's projector is built before the noise
-    is drawn; one call per stream, so no chunk outlives its stream.
-    """
-    projectors = [build_projector(plan.config).projector for _, plan, _ in members]
-    for noise, z in _noise_chunks(*stream):
-        for (i, _, delta), projector in zip(members, projectors):
-            hits[i] += int((delta(noise, z, projector) >= 0.0).sum())
-
-
 def _simulate(plans, member):
-    """One McEstimate per plan; plans that read the same stream share one pass of it.
+    """One McEstimate per plan; the plans of a seed share one pass of its words.
 
-    member(plan) validates the plan and returns (stream, delta); every plan is
-    validated before any noise is drawn.
+    member(plan) validates the plan and returns (stream, delta), with
+    delta(noise, z, projector) -> the cost differences of the trials in noise.
+    Every plan is validated, and its projector built, before any noise is drawn.
     """
-    streams = {}
+    seeds = {}
     for i, plan in enumerate(plans):
         stream, delta = member(plan)
-        streams.setdefault(stream, []).append((i, plan, delta))
+        projector = build_projector(plan.config).projector
+        seeds.setdefault(plan.seed, {}).setdefault(stream, []).append((i, delta, projector))
     hits = [0] * len(plans)
-    for stream, group in streams.items():
-        _count_stream(stream, group, hits)
+    for seed, streams in seeds.items():
+        for stream, noise, z in _seed_pass(seed, streams):
+            for i, delta, projector in streams[stream]:
+                hits[i] += int((delta(noise, z, projector) >= 0.0).sum())
     return [_estimate(h, plan.trials) for h, plan in zip(hits, plans)]
 
 
@@ -285,8 +305,10 @@ def simulate_single_fa(*plans: TrialPlan) -> list[McEstimate]:
 
     The decoy sits at (x_l, y_l - lam); lam is plan.config.lam, or drawn per
     trial when plan.random_lambda is set. Returns one McEstimate per plan, in
-    order; every plan is validated before any noise is drawn, and each distinct
-    noise stream (seed, trials, epochs, random lambda or not) is drawn once.
+    order; every plan is validated before any noise is drawn. The plans of a
+    seed share one pass of its word sequence: each word up to the end of the
+    longest stream (trials x words a trial) is drawn and turned into a normal
+    once, however many plans, trial counts and epoch counts read it.
     """
     return _simulate(plans, _single_member)
 
@@ -312,7 +334,8 @@ def _multi_member(plan):
 def simulate_multi_fa(*plans: TrialPlan) -> list[McEstimate]:
     """Estimate the multi-contamination probability, one McEstimate per plan.
 
-    Same sharing and validation as ``simulate_single_fa``. A single
+    Same sharing and validation as ``simulate_single_fa``: one pass of each
+    seed's word sequence serves every plan of that seed. A single
     contaminated scan reduces exactly to simulate_single_fa (same stream, same
     counts).
     """
@@ -342,7 +365,7 @@ def sample_moments(plan: TrialPlan) -> MomentSample:
 
     m1_parts = []
     v1_parts = []
-    for noise, _ in _noise_chunks(*_stream(plan, False)):
+    for _, noise, _ in _seed_pass(plan.seed, [_stream(plan, False)]):
         ex = np.stack([noise[:, 2 * l] for l in idx], axis=1)
         ey = np.stack([noise[:, 2 * l + 1] for l in idx], axis=1)
         m1 = (np.einsum("ti,ij,tj->t", ex, a_blocks, ex)
@@ -375,7 +398,8 @@ def simulate_conditional(e_l, l, config: ScanConfig, trials: int, seed: int) -> 
     plan = TrialPlan(trials=trials, seed=seed, config=config, scan=l)
     projector = build_projector(config).projector
     out = []
-    for noise, _ in _noise_chunks(*_stream(plan, False)):
+    for _, noise, _ in _seed_pass(seed, [_stream(plan, False)]):
+        noise = noise.copy()           # its own: the pass may hand out a view of its buffer
         noise[:, 2 * l] = e_l[0]
         noise[:, 2 * l + 1] = e_l[1]
         lam_col = np.full((noise.shape[0], 1), config.lam)

@@ -105,6 +105,22 @@ class TestBoxMuller:
         words = self.words()
         assert np.abs(mc._words_to_normals(words) - self.libm_normals(words)).max() <= 1e-14
 
+    def test_uniforms_lie_in_zero_one_closed(self):
+        # (m + 1/2) 2^-53 rounds to double: the least u is 2^-54, the top 2^11
+        # words give exactly 1, and on [0.5, 1) the last bit rounds to even
+        import trackassoc.mc_oracle as mc
+
+        top = np.array([0, 2**53 - 1, 2**52 + 1, 2**52 + 2], dtype=np.uint64) << np.uint64(11)
+        u = mc._uniforms(np.concatenate([top, np.array([2**64 - 1], dtype=np.uint64)]))
+        assert u[0] == 2.0**-54
+        assert u[1] == u[4] == 1.0
+        assert u[2] == u[3]
+        # u1 = 1 gives r = 0: both normals of the pair are 0, whatever u2 is
+        pairs = np.array([2**64 - 1, 0, 2**64 - 2**11, 2**64 - 1, 2**64 - 1, 2**63],
+                         dtype=np.uint64)
+        z = mc._words_to_normals(pairs)
+        assert np.all(np.isfinite(z)) and np.all(z == 0.0)
+
     def test_blocks_change_nothing(self, monkeypatch):
         import trackassoc.mc_oracle as mc
 
@@ -193,7 +209,7 @@ class TestMultiFa:
 
 
 class TestSharedPass:
-    """One call over many plans equals one call per plan and draws each stream once."""
+    """One call over many plans equals one call per plan and draws each seed's words once."""
 
     @staticmethod
     def one_by_one(simulate, plans, **kwargs):
@@ -255,6 +271,54 @@ class TestSharedPass:
         simulate_single_fa(*plans)
         assert len(calls) == 2 * 3
 
+    @staticmethod
+    def n_grid(seed, trials=5_000):
+        # N = 20, 21, 40, 60: trials 44, 44, 84 and 124 words wide (2N + 2,
+        # rounded up to whole 4-word blocks); a random offset adds 2 words
+        # before the rounding (44, 48 and 84 words at N = 20, 21, 40)
+        plans = [TrialPlan(trials=trials, seed=seed, config=ScanConfig(n_scans=n, lam=2.0))
+                 for n in (20, 21, 40, 60)]
+        plans += [TrialPlan(trials=7_000, seed=seed, config=ScanConfig(n_scans=n, lam=1.5),
+                            scan=n // 2) for n in (21, 60)]
+        plans += [TrialPlan(trials=t, seed=seed, config=ScanConfig(n_scans=n), scan=n,
+                            random_lambda=RandomLambda(lambda0=2.0, sigma0=1.0))
+                  for n, t in ((20, 7_000), (40, 5_000), (21, 5_000))]
+        return plans
+
+    def test_plans_of_one_seed(self):
+        plans = self.n_grid(seed=13)
+        assert simulate_single_fa(*plans) == self.one_by_one(simulate_single_fa, plans)
+        multi = [TrialPlan(trials=t, seed=13, config=ScanConfig(n_scans=n),
+                           fa=FalseAssocSet((n - 1, n), (1.0, 2.5)))
+                 for n, t in ((20, 5_000), (21, 7_000), (40, 5_000), (60, 7_000))]
+        assert simulate_multi_fa(*multi) == self.one_by_one(simulate_multi_fa, multi)
+
+    def test_each_word_of_a_seed_drawn_once(self, monkeypatch):
+        # one pass over the longest stream's words, in rising offsets, however
+        # many streams of the seed read them
+        import trackassoc.mc_oracle as mc
+
+        calls = []
+        words = mc._philox_words
+        monkeypatch.setattr(mc, "_philox_words", lambda *a: calls.append(a) or words(*a))
+        plans = [TrialPlan(trials=3_000, seed=8, config=ScanConfig(n_scans=n, lam=2.0))
+                 for n in range(20, 101, 20)]
+        simulate_single_fa(*plans)
+        assert {(seed, tag) for seed, tag, _, _ in calls} == {(8, 0)}
+        ends = np.cumsum([n for *_, n in calls])
+        assert [offset for _, _, offset, _ in calls] == [0, *ends[:-1]]
+        assert ends[-1] == 3_000 * 204      # N=100: 2 * 101 normals in 204 words a trial
+
+    def test_window_no_multiple_of_any_width(self, monkeypatch):
+        # 3968-word windows (4004 rounded down to 32 trials of 124 words):
+        # trials of every narrower width (44, 48, 84) are cut at window edges
+        import trackassoc.mc_oracle as mc
+
+        plans = self.n_grid(seed=13)
+        ref = simulate_single_fa(*plans)
+        monkeypatch.setattr(mc, "_CHUNK_WORDS", 4 * 1001)
+        assert simulate_single_fa(*plans) == ref
+
     @pytest.mark.parametrize("simulate,bad", [
         (simulate_single_fa, TrialPlan(trials=10, seed=1, config=CONFIG, scan=21)),
         (simulate_multi_fa, TrialPlan(trials=10, seed=1, config=CONFIG, scan=20)),
@@ -273,9 +337,9 @@ class TestSharedPass:
         assert calls == []
 
     def test_no_chunk_outlives_its_stream(self):
-        # the sweep-n grid shares nothing, so one call over it must cost no more
-        # memory than its largest plan alone (a chunk kept while the next
-        # stream is drawn shows here)
+        # one call over the sweep-n grid must cost no more memory than its
+        # largest plan alone: its streams share one buffer of normals, sized by
+        # the widest, and a copy kept beyond its stream's turn shows here
         import tracemalloc
 
         from trackassoc.geometry import build_projector
