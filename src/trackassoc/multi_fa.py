@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 from .geometry import ScanConfig, cross_alpha
 from .quadrature import adaptive_integrate, normal_upper_tail
@@ -142,10 +141,22 @@ def _chi2_pdf(v, df):
 
 
 def _chi2_upper_cutoff(df, tail=1e-10):
+    """The first of 2 df + 10 times 1.5^i past which chi-square(df) keeps mass <= ``tail``.
+
+    df = 2K is even, so the upper tail at v is the Poisson sum
+    e^-x sum_{j<K} x^j / j! at x = v / 2, summed here in log space.
+    """
+    K = df // 2
     hi = 2.0 * df + 10.0
-    while special.gammaincc(df / 2.0, hi / 2.0) > tail:
+    while _poisson_head(K, hi / 2.0) > tail:
         hi *= 1.5
     return hi
+
+
+def _poisson_head(K, x):
+    """P(Poisson(x) < K), which is the chi-square(2K) upper tail at 2x."""
+    log_x = math.log(x)
+    return math.fsum(math.exp(j * log_x - x - math.lgamma(j + 1)) for j in range(K))
 
 
 def _variance_law(mp: MomentParams, law: str, K: int | None = None,

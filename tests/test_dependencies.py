@@ -1,0 +1,74 @@
+"""What the package needs at run time: numpy only; scipy serves the tests as an oracle."""
+
+import ast
+import json
+import os
+import re
+import subprocess
+import sys
+import tomllib
+from pathlib import Path
+
+import trackassoc
+from trackassoc.cli import EXPERIMENTS
+
+SRC = Path(trackassoc.__file__).resolve().parent
+ROOT = SRC.parent.parent
+
+# one grid point of every experiment, every method it computes
+RUN_EVERY_EXPERIMENT = """
+import json, sys, tempfile
+from pathlib import Path
+from trackassoc.cli import EXPERIMENTS, main
+
+keys = {"n_scans": 8, "n_min": 8, "n_max": 8, "lambda_min": 2.0, "lambda_max": 2.0,
+        "lambda_fixed": 2.0, "p_fa": 0.1, "k": 3, "trials": 64, "steps": 5}
+codes = {}
+with tempfile.TemporaryDirectory() as out:
+    for name, experiment in EXPERIMENTS.items():
+        cfg = Path(out) / f"{name}.cfg"
+        lines = {**keys, "experiment": name, "methods": ",".join(experiment.methods)}
+        cfg.write_text("".join(f"{k}={v}\\n" for k, v in lines.items()))
+        codes[name] = (main(["--config", str(cfg), "--out", out]),
+                       (Path(out) / f"{name}.csv").exists())
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def _requirement_name(spec):
+    return re.split(r"[\s<>=!~;\[]", spec, maxsplit=1)[0].lower()
+
+
+def _imported_top_levels(path):
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_every_experiment_runs_without_loading_scipy():
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", RUN_EVERY_EXPERIMENT], capture_output=True,
+                          text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["codes"] == {name: [0, True] for name in EXPERIMENTS}
+    assert report["scipy"] == []
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    runtime = {_requirement_name(r) for r in project["dependencies"]}
+    extras = {extra: {_requirement_name(r) for r in reqs}
+              for extra, reqs in project["optional-dependencies"].items()}
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    for path in modules:
+        third_party = _imported_top_levels(path) - set(sys.stdlib_module_names) - {"trackassoc"}
+        assert third_party <= runtime, (path.name, third_party - runtime)
+    assert "scipy" not in runtime
+    assert [extra for extra, names in extras.items() if "scipy" in names] == ["test"]

@@ -418,15 +418,28 @@ class TestConditionalSampler:
 
     @pytest.mark.parametrize("seed", (2, 99))
     def test_samples_do_not_depend_on_chunk_size(self, monkeypatch, seed):
-        # 40 words a trial at N=20: 1638 trials a chunk at the default size,
-        # then all 70_000 trials at 65_536 a chunk, and 1489 a chunk
+        # a trial at N=20 takes `width` words (44): the default window holds 1489
+        # trials, `width` * 70_000 words hold the whole stream in one window, and a
+        # size that is no multiple of the width rounds down to 997 trials a window
         import trackassoc.mc_oracle as mc
 
+        plan = TrialPlan(trials=70_000, seed=seed, config=CONFIG, scan=20)
+        width = mc._trial_words(plan.config.epochs, False)
+        draws = []
+        philox_words = mc._philox_words
+
+        def counted(*args):
+            draws.append(args)
+            return philox_words(*args)
+
+        monkeypatch.setattr(mc, "_philox_words", counted)
         ref = simulate_conditional((0.3, -0.4), 20, CONFIG, trials=70_000, seed=seed)
-        for chunk in (65_536, 1489):
-            monkeypatch.setattr(mc, "_CHUNK_WORDS", 40 * chunk)
+        for words, windows in ((width * 70_000, 1), (width * 997 + width // 2, 71)):
+            draws.clear()
+            monkeypatch.setattr(mc, "_CHUNK_WORDS", words)
             np.testing.assert_array_equal(
                 simulate_conditional((0.3, -0.4), 20, CONFIG, trials=70_000, seed=seed), ref)
+            assert len(draws) == windows
 
 
 class TestDtmcSimulation:

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from trackassoc.geometry import (ScanConfig, build_projector, cross_alpha, cross_theta,
                                  diag_coeffs)
 from trackassoc.mc_oracle import TrialPlan, sample_moments, simulate_multi_fa
-from trackassoc.multi_fa import (FalseAssocSet, MomentParams, coefficient_matrices,
-                                 compound_density, exact_probability, moment_params,
-                                 prob_chi2, prob_exponential, prob_normal)
+from trackassoc.multi_fa import (FalseAssocSet, MomentParams, _chi2_upper_cutoff,
+                                 coefficient_matrices, compound_density, exact_probability,
+                                 moment_params, prob_chi2, prob_exponential, prob_normal)
 from trackassoc.quadrature import adaptive_integrate, gauss_hermite, normal_upper_tail
 from trackassoc.single_fa import conditional_law
 from trackassoc.tabulated import exponential_series, v1_variance_appendix, v1_variance_main
@@ -207,6 +207,18 @@ class TestProbChi2:
 
     def test_orientation_large_distance(self):
         assert prob_chi2(2, moment_params(fa_last_k(2, 6.0), CONFIG40)) >= 0.999
+
+
+class TestChi2UpperCutoff:
+    def test_equals_the_incomplete_gamma_loop(self):
+        # every K the CLI accepts (1 <= k < n_scans <= 200) keeps the cutoff it had
+        from scipy.special import gammaincc
+        for K in range(1, 200):
+            df = 2 * K
+            hi = 2.0 * df + 10.0
+            while gammaincc(df / 2.0, hi / 2.0) > 1e-10:
+                hi *= 1.5
+            assert _chi2_upper_cutoff(df) == hi, K
 
 
 class TestProbNormal:
