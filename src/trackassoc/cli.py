@@ -23,7 +23,7 @@ import numpy as np
 
 from . import dtmc as dtmc_mod
 from . import mc_oracle, multi_fa, single_fa, tabulated
-from .geometry import ScanConfig
+from .geometry import ScanConfig, _check_scan
 from .quadrature import IntegrationError
 
 
@@ -60,11 +60,13 @@ class ExperimentSpec:
 
 
 def _validate(spec: ExperimentSpec) -> ExperimentSpec:
-    """Check the bounds the CLI sets; the library's own constructors check the rest."""
+    """Check the bounds the CLI sets; the library's own checks cover the rest."""
     if spec.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {spec.experiment!r}")
+    scan = spec.scan or spec.n_scans
     try:
         config = ScanConfig(n_scans=spec.n_scans)
+        _check_scan(scan, config)
         mc_oracle.TrialPlan(trials=spec.trials, seed=spec.seed, config=config)
         single_fa.RandomLambda(lambda0=0.0, sigma0=spec.sigma0)
         single_fa.fit_gammas(spec.n_steps, spec.support_k)
@@ -95,9 +97,6 @@ def _validate(spec: ExperimentSpec) -> ExperimentSpec:
     if bad:
         raise ConfigError(f"experiment {spec.experiment!r} does not compute methods {bad}")
     methods = tuple(m for m in experiment.methods if m in methods)
-    scan = spec.scan or spec.n_scans
-    if not 1 <= scan <= spec.n_scans:
-        raise ConfigError("scan must lie in 1..n_scans")
     return replace(spec, methods=methods, scan=scan)
 
 

@@ -104,11 +104,15 @@ def build_projector(config: ScanConfig) -> RegressionGeometry:
     return _cached_geometry(config.n_scans)
 
 
+def _hat(l, m, N):
+    """Scalar of the hat-matrix block (X (X'X)^-1 X')_{lm}, closed form."""
+    return 2.0 * (2 * N + 1 - 3 * m - 3 * l + 6 * l * m / N) / ((N + 1) * (N + 2))
+
+
 def leverage(l, config: ScanConfig) -> float:
     """Scalar leverage of epoch l (per coordinate), closed form."""
     _check_scan(l, config)
-    N = config.n_scans
-    return 2.0 * (2 * N + 1 - 6 * l + 6 * l * l / N) / ((N + 1) * (N + 2))
+    return _hat(l, l, config.n_scans)
 
 
 def diag_coeffs(l, config: ScanConfig) -> DiagBlockCoeffs:
@@ -121,9 +125,7 @@ def cross_alpha(lk, lk2, config: ScanConfig) -> float:
     """Scalar of the projector block M_{lk,lk2}; symmetric in its indices."""
     _check_scan(lk, config)
     _check_scan(lk2, config)
-    N = config.n_scans
-    ind = 1.0 if lk == lk2 else 0.0
-    return ind - 2.0 * (2 * N + 1 - 3 * lk2 - 3 * lk + 6 * lk * lk2 / N) / ((N + 1) * (N + 2))
+    return (1.0 if lk == lk2 else 0.0) - _hat(lk, lk2, config.n_scans)
 
 
 def _excluded_sums(fa_indices, config):

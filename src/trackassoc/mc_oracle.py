@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ScanConfig, build_projector
+from .geometry import ScanConfig, _check_scan, build_projector
 from .multi_fa import FalseAssocSet
 from .single_fa import RandomLambda
 
@@ -195,11 +195,6 @@ def _trial_words(epochs, with_lambda):
     return _whole_blocks(2 * epochs + (2 if with_lambda else 0))
 
 
-def _stream(plan, with_lambda):
-    """The stream a plan reads from its seed's words: (trials, epochs, random lambda or not)."""
-    return plan.trials, plan.config.epochs, with_lambda
-
-
 def _seed_pass(seed, streams):
     """Yield (stream, noise, z) for the streams of one seed, a window at a time.
 
@@ -264,40 +259,49 @@ def _delta_for_chunk(noise, indices, lam_per_scan, projector):
     return qmq + 2.0 * qme
 
 
-def _simulate(plans, member):
+def _decoys(plan, multi):
+    """The decoys a plan places: (stream, scans, offsets).
+
+    The decoys sit at plan.fa's scans and offsets for ``simulate_multi_fa``
+    (multi), else at plan.scan (default: the last scan) and plan.config.lam.
+    offsets is a 1 x K row of the decoys' offsets, or None when plan.random_lambda
+    draws the offset per trial. stream is the one the plan reads from its seed's
+    words: (trials, epochs, random offset or not). Every scan is checked to lie
+    in 1..N (geometry._check_scan).
+    """
+    if multi:
+        if plan.fa is None:
+            raise ValueError("multi-contamination plan needs plan.fa")
+        scans, offsets = list(plan.fa.indices), np.array([plan.fa.lambdas])
+    else:
+        scans = [plan.scan if plan.scan is not None else plan.config.n_scans]
+        offsets = None if plan.random_lambda is not None else np.array([[plan.config.lam]])
+    for l in scans:
+        _check_scan(l, plan.config)
+    return (plan.trials, plan.config.epochs, offsets is None), scans, offsets
+
+
+def _simulate(plans, multi):
     """One McEstimate per plan; the plans of a seed share one pass of its words.
 
-    member(plan) validates the plan and returns (stream, delta), with
-    delta(noise, z, projector) -> the cost differences of the trials in noise.
-    Every plan is validated, and its projector built, before any noise is drawn.
+    Every plan's decoys are resolved (``_decoys``), and its projector built,
+    before any noise is drawn. Each plan keeps (scans, offsets, random lambda,
+    projector); where offsets is None, the trials' offsets are lambda0 + sigma0 z
+    from the z its stream's pass hands out.
     """
     seeds = {}
     for i, plan in enumerate(plans):
-        stream, delta = member(plan)
+        stream, scans, offsets = _decoys(plan, multi)
         projector = build_projector(plan.config).projector
-        seeds.setdefault(plan.seed, {}).setdefault(stream, []).append((i, delta, projector))
+        seeds.setdefault(plan.seed, {}).setdefault(stream, []).append(
+            (i, scans, offsets, plan.random_lambda, projector))
     hits = [0] * len(plans)
     for seed, streams in seeds.items():
         for stream, noise, z in _seed_pass(seed, streams):
-            for i, delta, projector in streams[stream]:
-                hits[i] += int((delta(noise, z, projector) >= 0.0).sum())
+            for i, scans, offsets, rl, projector in streams[stream]:
+                lam = offsets if offsets is not None else (rl.lambda0 + rl.sigma0 * z)[:, None]
+                hits[i] += int((_delta_for_chunk(noise, scans, lam, projector) >= 0.0).sum())
     return [_estimate(h, plan.trials) for h, plan in zip(hits, plans)]
-
-
-def _single_member(plan):
-    l = plan.scan if plan.scan is not None else plan.config.n_scans
-    if not 1 <= l <= plan.config.n_scans:
-        raise ValueError("scan index outside 1..n_scans")
-    rl = plan.random_lambda
-
-    def delta(noise, z, projector):
-        if rl is None:
-            lam_col = np.full((noise.shape[0], 1), plan.config.lam)
-        else:
-            lam_col = (rl.lambda0 + rl.sigma0 * z)[:, None]
-        return _delta_for_chunk(noise, [l], lam_col, projector)
-
-    return _stream(plan, rl is not None), delta
 
 
 def simulate_single_fa(*plans: TrialPlan) -> list[McEstimate]:
@@ -310,25 +314,7 @@ def simulate_single_fa(*plans: TrialPlan) -> list[McEstimate]:
     longest stream (trials x words a trial) is drawn and turned into a normal
     once, however many plans, trial counts and epoch counts read it.
     """
-    return _simulate(plans, _single_member)
-
-
-def _check_multi(plan):
-    if plan.fa is None:
-        raise ValueError("multi-contamination plan needs plan.fa")
-    if plan.fa.indices[-1] > plan.config.n_scans:
-        raise ValueError("contaminated index beyond the last scan")
-
-
-def _multi_member(plan):
-    _check_multi(plan)
-    idx = list(plan.fa.indices)
-    lam = np.asarray(plan.fa.lambdas)
-
-    def delta(noise, z, projector):
-        return _delta_for_chunk(noise, idx, lam[None, :], projector)
-
-    return _stream(plan, False), delta
+    return _simulate(plans, multi=False)
 
 
 def simulate_multi_fa(*plans: TrialPlan) -> list[McEstimate]:
@@ -339,7 +325,7 @@ def simulate_multi_fa(*plans: TrialPlan) -> list[McEstimate]:
     contaminated scan reduces exactly to simulate_single_fa (same stream, same
     counts).
     """
-    return _simulate(plans, _multi_member)
+    return _simulate(plans, multi=True)
 
 
 def sample_moments(plan: TrialPlan) -> MomentSample:
@@ -349,11 +335,10 @@ def sample_moments(plan: TrialPlan) -> MomentSample:
     independent of the closed-form sums it validates. The stream is the one
     ``simulate_multi_fa`` reads for the same plan.
     """
-    _check_multi(plan)
+    stream, idx, offsets = _decoys(plan, multi=True)
     projector = build_projector(plan.config).projector
     epochs = plan.config.epochs
-    idx = plan.fa.indices
-    lam = np.asarray(plan.fa.lambdas)
+    lam = offsets[0]
 
     sel = np.eye(2 * epochs)
     for l in idx:
@@ -365,7 +350,7 @@ def sample_moments(plan: TrialPlan) -> MomentSample:
 
     m1_parts = []
     v1_parts = []
-    for _, noise, _ in _seed_pass(plan.seed, [_stream(plan, False)]):
+    for _, noise, _ in _seed_pass(plan.seed, [stream]):
         ex = np.stack([noise[:, 2 * l] for l in idx], axis=1)
         ey = np.stack([noise[:, 2 * l + 1] for l in idx], axis=1)
         m1 = (np.einsum("ti,ij,tj->t", ex, a_blocks, ex)
@@ -395,15 +380,15 @@ def sample_moments(plan: TrialPlan) -> MomentSample:
 
 def simulate_conditional(e_l, l, config: ScanConfig, trials: int, seed: int) -> np.ndarray:
     """Samples of the cost difference with the scan-l noise pinned to e_l."""
-    plan = TrialPlan(trials=trials, seed=seed, config=config, scan=l)
+    stream, scans, offsets = _decoys(TrialPlan(trials=trials, seed=seed, config=config, scan=l),
+                                     multi=False)
     projector = build_projector(config).projector
     out = []
-    for _, noise, _ in _seed_pass(seed, [_stream(plan, False)]):
+    for _, noise, _ in _seed_pass(seed, [stream]):
         noise = noise.copy()           # its own: the pass may hand out a view of its buffer
         noise[:, 2 * l] = e_l[0]
         noise[:, 2 * l + 1] = e_l[1]
-        lam_col = np.full((noise.shape[0], 1), config.lam)
-        out.append(_delta_for_chunk(noise, [l], lam_col, projector))
+        out.append(_delta_for_chunk(noise, scans, offsets, projector))
     return np.concatenate(out)
 
 
@@ -419,7 +404,6 @@ class DtmcSimStats:
     return_count: int
     mean_absorption_steps: float  # mean decisions until two consecutive fa
     absorption_se: float
-    runs: int
 
 
 def _decision_bits(seed, tag, offset, count, p):
@@ -453,7 +437,7 @@ def simulate_dtmc(p_fa: float, steps: int, runs: int, seed: int) -> DtmcSimStats
     if p_fa == 0.0:
         return DtmcSimStats(occupancy=occupancy, mean_return_state4=mean_return,
                             return_count=return_count, mean_absorption_steps=math.inf,
-                            absorption_se=math.inf, runs=runs)
+                            absorption_se=math.inf)
 
     block = 256
     group_size = 4096
@@ -483,4 +467,4 @@ def simulate_dtmc(p_fa: float, steps: int, runs: int, seed: int) -> DtmcSimStats
     se = float(times.std(ddof=1) / math.sqrt(runs)) if runs > 1 else math.inf
     return DtmcSimStats(occupancy=occupancy, mean_return_state4=mean_return,
                         return_count=return_count, mean_absorption_steps=float(times.mean()),
-                        absorption_se=se, runs=runs)
+                        absorption_se=se)

@@ -102,11 +102,13 @@ class TestParseConfig:
                                       "experiment=random-lambda\nsigma0=-1\n", "seed=-1\n",
                                       "seed=18446744073709551616\n",
                                       "experiment=random-lambda\nsigma0=nan\n",
-                                      "lambda_step=inf\n"],
+                                      "lambda_step=inf\n", "scan=41\n", "scan=-1\n"],
                              ids=["n_steps", "support_k", "sigma0", "seed-negative",
-                                  "seed-2^64", "sigma0-nan", "lambda_step-inf"])
+                                  "seed-2^64", "sigma0-nan", "lambda_step-inf",
+                                  "scan-beyond-n", "scan-negative"])
     def test_value_the_library_rejects(self, tmp_path, capsys, text):
-        # each of these once passed parsing and died in run with a traceback
+        # the library's own checks reject each of these (the first seven once
+        # passed parsing and died in run with a traceback)
         cfg = tmp_path / "lib.cfg"
         cfg.write_text(text)
         with pytest.raises(ConfigError):
@@ -193,6 +195,25 @@ class TestGolden:
         i_spec, i_pow = header.index("reach_spectral"), header.index("reach_power")
         for r in rows:
             assert abs(r[i_spec] - r[i_pow]) <= 1e-10
+
+    @pytest.mark.parametrize("golden,text", [
+        ("sweep-lambda.csv", "experiment=sweep-lambda\nmethods=exact,closed-form,mc\n"),
+        ("random-lambda.csv", "experiment=random-lambda\n"),
+        ("multi-fa.csv", "experiment=multi-fa\nk=3\n"
+                         "methods=exact,chi2,normal,exponential,mc\n"),
+        # N = 20, 80, 140, 200: four stream widths in one pass of the seed's
+        # words, with narrower trials cut at window edges (a wrong carry of a
+        # cut trial moves the N = 20 count at lambda 1)
+        ("sweep-n-mc.csv", "experiment=sweep-n\nmethods=exact,closed-form,mc\n"
+                           "n_min=20\nn_max=200\nn_step=60\nlambda_fixed=1.0\n")],
+        ids=["sweep-lambda", "random-lambda", "multi-fa", "sweep-n"])
+    def test_monte_carlo_columns(self, tmp_path, golden, text):
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text(text + "trials=2000\nlambda_step=0.5\n")
+        spec = parse_config(cfg)
+        assert run(spec, tmp_path) == 0
+        assert (tmp_path / f"{spec.experiment}.csv").read_bytes() == \
+            (GOLDEN / golden).read_bytes()
 
     @pytest.mark.parametrize("p_fa", ("1e-5", "1e-6", "1e-9"))
     def test_dtmc_small_p_fa(self, tmp_path, p_fa):

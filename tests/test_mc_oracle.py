@@ -207,6 +207,17 @@ class TestMultiFa:
         with pytest.raises(ValueError):
             simulate_multi_fa(TrialPlan(trials=10, seed=1, config=CONFIG, scan=20))
 
+    @pytest.mark.parametrize("scan", (-1, 0, 21))
+    def test_moments_reject_a_scan_outside_1_to_n(self, monkeypatch, scan):
+        import trackassoc.mc_oracle as mc
+
+        calls = []
+        monkeypatch.setattr(mc, "_philox_words", lambda *a: calls.append(a))
+        plan = TrialPlan(trials=10, seed=1, config=CONFIG, fa=FalseAssocSet((scan,), (1.0,)))
+        with pytest.raises(ValueError, match="outside 1..20"):
+            sample_moments(plan)
+        assert calls == []
+
 
 class TestSharedPass:
     """One call over many plans equals one call per plan and draws each seed's words once."""
@@ -323,8 +334,13 @@ class TestSharedPass:
         (simulate_single_fa, TrialPlan(trials=10, seed=1, config=CONFIG, scan=21)),
         (simulate_multi_fa, TrialPlan(trials=10, seed=1, config=CONFIG, scan=20)),
         (simulate_multi_fa, TrialPlan(trials=10, seed=1, config=CONFIG,
-                                      fa=FalseAssocSet((20, 21), (1.0, 1.0))))],
-        ids=["scan", "no-fa", "index"])
+                                      fa=FalseAssocSet((20, 21), (1.0, 1.0)))),
+        # index 0 once read the noise of epoch 0, and -1 that of scan N
+        (simulate_multi_fa, TrialPlan(trials=10, seed=1, config=CONFIG,
+                                      fa=FalseAssocSet((0,), (1.0,)))),
+        (simulate_multi_fa, TrialPlan(trials=10, seed=1, config=CONFIG,
+                                      fa=FalseAssocSet((-1,), (1.0,))))],
+        ids=["scan", "no-fa", "index", "index-0", "index-negative"])
     def test_invalid_plan_raises_before_any_draw(self, monkeypatch, simulate, bad):
         import trackassoc.mc_oracle as mc
 
@@ -415,6 +431,16 @@ class TestConditionalSampler:
         delta_b = simulate_conditional((0.5, -0.5), 20, CONFIG, trials=5000, seed=2)
         np.testing.assert_array_equal(delta_a, delta_b)
         assert delta_a.shape == (5000,)
+
+    @pytest.mark.parametrize("scan", (-1, 0, 21))
+    def test_rejects_a_scan_outside_1_to_n(self, monkeypatch, scan):
+        import trackassoc.mc_oracle as mc
+
+        calls = []
+        monkeypatch.setattr(mc, "_philox_words", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="outside 1..20"):
+            simulate_conditional((0.5, -0.5), scan, CONFIG, trials=10, seed=2)
+        assert calls == []
 
     @pytest.mark.parametrize("seed", (2, 99))
     def test_samples_do_not_depend_on_chunk_size(self, monkeypatch, seed):
