@@ -21,7 +21,6 @@ the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -88,20 +87,17 @@ def build_design(config: ScanConfig) -> np.ndarray:
     return X
 
 
-@lru_cache(maxsize=64)
-def _cached_geometry(n_scans: int) -> RegressionGeometry:
-    config = ScanConfig(n_scans=n_scans)
+def build_projector(config: ScanConfig) -> RegressionGeometry:
+    """Design matrix and dense residual projector for the config's epoch grid.
+
+    Each call builds fresh arrays, so a caller may write into them.
+    """
     X = build_design(config)
     xtx = X.T @ X
     if np.linalg.cond(xtx) > 1e12:
         raise GeometryError("degenerate geometry")
     projector = np.eye(X.shape[0]) - X @ np.linalg.solve(xtx, X.T)
     return RegressionGeometry(design=X, projector=projector)
-
-
-def build_projector(config: ScanConfig) -> RegressionGeometry:
-    """Design matrix and dense residual projector for the config's epoch grid."""
-    return _cached_geometry(config.n_scans)
 
 
 def _hat(l, m, N):

@@ -5,11 +5,13 @@ A trial owns a fixed, precomputed window of 64-bit words (uniforms are turned
 into normals by Box-Muller, which consumes exactly one word per normal): trial
 t of a stream whose trials are w words wide reads words [t w, (t+1) w) of its
 seed's sequence, so it always sees the same draws no matter the chunk size,
-execution order, or thread count. Costs are evaluated through the dense
-residual projector -- never through the closed-form coefficients under test --
-and the brute-force least-squares route is cross-checked in the test suite.
-Each trial's projections are summed on their own (einsum, not BLAS), so no
-sample, and no count, depends on how many trials share a chunk.
+execution order, or thread count. Costs are read through the decoy rows of
+the dense residual projector -- never through the closed-form coefficients
+under test -- and the brute-force least-squares route is cross-checked in the
+test suite. Each plan's decoy rows are resolved once, before any noise is
+drawn, and the dense projector is let go (one is built per distinct N). Each
+trial's projections are summed on their own (einsum, not BLAS), so no sample,
+and no count, depends on how many trials share a chunk.
 
 Normals: words 2i and 2i+1 give uniforms u1, u2 in (0, 1] (the top 53 bits m,
 as (m + 1/2) 2^-53 rounded to double: on [0.5, 1) that rounds to an even
@@ -52,8 +54,9 @@ from .single_fa import RandomLambda
 # epoch count grows, so a window's memory does not grow with N.
 _CHUNK_WORDS = 1 << 16
 
-# Box-Muller pairs per block: the block's nine work arrays (576 KiB) stay in a
-# typical L2 cache, and numpy's per-call cost is spread over enough pairs.
+# Box-Muller pairs per block: the block's work arrays (eleven of 8192 doubles,
+# 704 KiB) stay in a typical L2 cache, and numpy's per-call cost is spread over
+# enough pairs.
 _PAIRS_PER_BLOCK = 8192
 
 # sin x = x + x^3 S(x^2) and cos x = 1 - x^2/2 + x^4 C(x^2) on |x| <= pi/4:
@@ -66,9 +69,9 @@ _COS_COEFS = (-1.13585365213876817300e-11, 2.08757008419747316778e-9,
               -1.38888888888730564116e-3, 4.16666666666665929218e-2)
 
 # cos(q pi/2 + x) = a cos x + b sin x and sin(q pi/2 + x) = a sin x - b cos x,
-# with a = cos(q pi/2) and b = -sin(q pi/2) read from these tables at q mod 4.
-_QUARTER_COS = np.array([1.0, 0.0, -1.0, 0.0])
-_QUARTER_NEG_SIN = np.array([0.0, -1.0, 0.0, 1.0])
+# with a = cos(q pi/2) and b = -sin(q pi/2) read from these tables at q in 0..4.
+_QUARTER_COS = np.array([1.0, 0.0, -1.0, 0.0, 1.0])
+_QUARTER_NEG_SIN = np.array([0.0, -1.0, 0.0, 1.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -137,10 +140,13 @@ def _words_to_normals(words, out=None):
     """Box-Muller normals, one per word (see the module docstring), into out if given."""
     pairs = words.shape[0] // 2
     z = np.empty(2 * pairs) if out is None else out
-    work = np.empty((9, min(pairs, _PAIRS_PER_BLOCK)))
+    block = min(pairs, _PAIRS_PER_BLOCK)
+    work = np.empty((9, block))
+    u = np.empty(2 * block)
     for lo in range(0, pairs, _PAIRS_PER_BLOCK):
         hi = min(pairs, lo + _PAIRS_PER_BLOCK)
-        _box_muller(words[2 * lo:2 * hi], z[2 * lo:2 * hi], work[:, :hi - lo])
+        _box_muller(words[2 * lo:2 * hi], z[2 * lo:2 * hi], work[:, :hi - lo],
+                    u[:2 * (hi - lo)])
     return z
 
 
@@ -152,18 +158,20 @@ def _horner(y, coefs, out):
         out += c
 
 
-def _box_muller(words, z, work):
-    """z[2i], z[2i+1] = r cos(2 pi u2), r sin(2 pi u2) from words 2i, 2i+1."""
+def _box_muller(words, z, work, u):
+    """z[2i], z[2i+1] = r cos(2 pi u2), r sin(2 pi u2) from words 2i, 2i+1.
+
+    u holds one double per word: the block's top 53 bits m of every word, plus
+    1/2, in one contiguous pass; u1 and u2 are its even and odd entries.
+    """
     r, x, q, y, p, cos, sin, a, b = work
-    np.right_shift(words[0::2], 11, out=r, casting="unsafe")
-    r += 0.5
-    r *= 2.0**-53                     # u1, as _uniforms gives it
+    np.right_shift(words, 11, out=u, casting="unsafe")
+    u += 0.5                          # m + 1/2, rounded as _uniforms rounds it
+    np.multiply(u[0::2], 2.0**-53, out=r)   # u1, as _uniforms gives it
     np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
-    np.right_shift(words[1::2], 11, out=x, casting="unsafe")
-    x += 0.5
-    x *= 2.0**-51                     # v = 4 u2, exact
+    np.multiply(u[1::2], 2.0**-51, out=x)   # v = 4 u2, exact
     np.rint(x, out=q)
     x -= q                            # exact, |v - q| <= 1/2
     x *= np.pi / 2                    # 2 pi u2 = q pi/2 + x, |x| <= pi/4
@@ -178,9 +186,9 @@ def _box_muller(words, z, work):
     np.multiply(y, -0.5, out=cos)
     cos += 1.0
     cos += p                          # cos x = 1 - x^2/2 + x^4 C(x^2)
-    quadrant = q.astype(np.intp)      # 0..4; mode="wrap" reads it mod 4
-    np.take(_QUARTER_COS, quadrant, out=a, mode="wrap")
-    np.take(_QUARTER_NEG_SIN, quadrant, out=b, mode="wrap")
+    quadrant = q.astype(np.intp)      # 0..4, so "clip" never clips
+    np.take(_QUARTER_COS, quadrant, out=a, mode="clip")
+    np.take(_QUARTER_NEG_SIN, quadrant, out=b, mode="clip")
     a *= r
     b *= r
     np.multiply(a, cos, out=y)
@@ -200,11 +208,11 @@ def _seed_pass(seed, streams):
 
     The words up to the longest stream's end are drawn and turned into normals
     once, window by window, into one reused buffer. Each stream then gets the
-    whole trials of it that the buffer holds: noise (trials x 2 epochs,
-    contiguous, possibly a view of the buffer: read it, do not write it) and,
-    for a random offset, z (the normal after the noise), else None. A window
-    holds whole trials of the widest stream; the trial of a narrower stream
-    that a window edge cuts moves to the front of the buffer.
+    whole trials of it that the buffer holds: noise (trials x 2 epochs, a
+    view of the buffer whose row stride is the trial width: read it, do not
+    write it) and, for a random offset, z (the normal after the noise), else
+    None. A window holds whole trials of the widest stream; the trial of a
+    narrower stream that a window edge cuts moves to the front of the buffer.
     """
     widths = {(trials, epochs, with_lambda): _trial_words(epochs, with_lambda)
               for trials, epochs, with_lambda in streams}
@@ -224,8 +232,7 @@ def _seed_pass(seed, streams):
             stop = min(hi, ends[stream]) // width * width
             if stop > start[stream]:
                 rows = normals[start[stream] - base:stop - base].reshape(-1, width)
-                yield (stream, np.ascontiguousarray(rows[:, :2 * epochs]),
-                       rows[:, 2 * epochs] if with_lambda else None)
+                yield stream, rows[:, :2 * epochs], rows[:, 2 * epochs] if with_lambda else None
                 start[stream] = stop
         cut = min((w for stream, w in start.items() if w < ends[stream]), default=hi)
         kept = hi - cut
@@ -237,18 +244,34 @@ def _estimate(successes, trials):
     return McEstimate(p_hat=p, stderr=math.sqrt(p * (1.0 - p) / trials), trials=trials)
 
 
-def _delta_for_chunk(noise, indices, lam_per_scan, projector):
+def _kernels(config, scan_sets):
+    """What the cost difference reads of the projector M: a kernel per scan set.
+
+    A kernel is (rows, block, a) for decoys at the set's scans: their x rows
+    2l then their y rows 2l + 1, M at those rows (2K x 2 epochs, contiguous)
+    and M at the x rows and columns (K x K; the y block is the same). One dense
+    M at config's N serves every set and is let go on return.
+    """
+    projector = build_projector(config).projector
+    kernels = []
+    for scans in scan_sets:
+        rows = [2 * l for l in scans] + [2 * l + 1 for l in scans]
+        x_rows = rows[:len(scans)]
+        kernels.append((rows, projector[rows], projector[np.ix_(x_rows, x_rows)]))
+    return kernels
+
+
+def _delta_for_chunk(noise, kernel, lam_per_scan):
     """Cost difference per trial: q'Mq + 2 q'M eps with q = decoy - noise, sparse.
 
     One einsum gives every trial's projections M eps at the decoy rows; it sums
     each trial's row on its own, where a BLAS product's summation order depends
     on the chunk's row count.
     """
-    k = len(indices)
-    rows = [2 * l for l in indices] + [2 * l + 1 for l in indices]
+    rows, block, a = kernel
+    k = a.shape[0]
     e = noise[:, rows]
-    m = np.einsum("td,kd->tk", noise, projector[rows])
-    a = projector[np.ix_(rows[:k], rows[:k])]
+    m = np.einsum("td,kd->tk", noise, block)
     qx = -e[:, :k]
     qy = -(lam_per_scan + e[:, k:])
     qmq = (np.einsum("ti,ij,tj->t", qx, a, qx)
@@ -284,23 +307,30 @@ def _decoys(plan, multi):
 def _simulate(plans, multi):
     """One McEstimate per plan; the plans of a seed share one pass of its words.
 
-    Every plan's decoys are resolved (``_decoys``), and its projector built,
-    before any noise is drawn. Each plan keeps (scans, offsets, random lambda,
-    projector); where offsets is None, the trials' offsets are lambda0 + sigma0 z
-    from the z its stream's pass hands out.
+    Every plan's decoys are resolved (``_decoys``) to a kernel (``_kernels``,
+    one dense projector per distinct N, one at a time) before any noise is
+    drawn. Each plan keeps (kernel, offsets, random lambda); where offsets is
+    None, the trials' offsets are lambda0 + sigma0 z from the z its stream's
+    pass hands out.
     """
-    seeds = {}
+    resolved = [_decoys(plan, multi) for plan in plans]
+    by_n = {}
     for i, plan in enumerate(plans):
-        stream, scans, offsets = _decoys(plan, multi)
-        projector = build_projector(plan.config).projector
+        by_n.setdefault(plan.config.n_scans, []).append(i)
+    kernels = {}
+    for members in by_n.values():
+        kernels.update(zip(members, _kernels(plans[members[0]].config,
+                                             [resolved[i][1] for i in members])))
+    seeds = {}
+    for i, (plan, (stream, _, offsets)) in enumerate(zip(plans, resolved)):
         seeds.setdefault(plan.seed, {}).setdefault(stream, []).append(
-            (i, scans, offsets, plan.random_lambda, projector))
+            (i, kernels[i], offsets, plan.random_lambda))
     hits = [0] * len(plans)
     for seed, streams in seeds.items():
         for stream, noise, z in _seed_pass(seed, streams):
-            for i, scans, offsets, rl, projector in streams[stream]:
+            for i, kernel, offsets, rl in streams[stream]:
                 lam = offsets if offsets is not None else (rl.lambda0 + rl.sigma0 * z)[:, None]
-                hits[i] += int((_delta_for_chunk(noise, scans, lam, projector) >= 0.0).sum())
+                hits[i] += int((_delta_for_chunk(noise, kernel, lam) >= 0.0).sum())
     return [_estimate(h, plan.trials) for h, plan in zip(hits, plans)]
 
 
@@ -382,13 +412,13 @@ def simulate_conditional(e_l, l, config: ScanConfig, trials: int, seed: int) -> 
     """Samples of the cost difference with the scan-l noise pinned to e_l."""
     stream, scans, offsets = _decoys(TrialPlan(trials=trials, seed=seed, config=config, scan=l),
                                      multi=False)
-    projector = build_projector(config).projector
+    kernel, = _kernels(config, [scans])
     out = []
     for _, noise, _ in _seed_pass(seed, [stream]):
-        noise = noise.copy()           # its own: the pass may hand out a view of its buffer
+        noise = noise.copy()           # its own: the pass hands out a view of its buffer
         noise[:, 2 * l] = e_l[0]
         noise[:, 2 * l + 1] = e_l[1]
-        out.append(_delta_for_chunk(noise, scans, offsets, projector))
+        out.append(_delta_for_chunk(noise, kernel, offsets))
     return np.concatenate(out)
 
 

@@ -121,6 +121,55 @@ class TestBoxMuller:
         z = mc._words_to_normals(pairs)
         assert np.all(np.isfinite(z)) and np.all(z == 0.0)
 
+    @staticmethod
+    def strided_normals(words):
+        # the former formulation, in one block: u1 and u2 shifted from strided
+        # reads of the words, the quadrant read mod 4 from 4-entry tables
+        import trackassoc.mc_oracle as mc
+
+        def horner(y, coefs):
+            out = np.full_like(y, coefs[0])
+            for c in coefs[1:]:
+                out *= y
+                out += c
+            return out
+
+        r = np.right_shift(words[0::2], np.uint64(11)).astype(np.float64)
+        r += 0.5
+        r *= 2.0**-53
+        r = np.sqrt(-2.0 * np.log(r))
+        x = np.right_shift(words[1::2], np.uint64(11)).astype(np.float64)
+        x += 0.5
+        x *= 2.0**-51
+        q = np.rint(x)
+        x -= q
+        x *= np.pi / 2
+        y = x * x
+        sin = x + horner(y, mc._SIN_COEFS) * y * x
+        cos = 1.0 + y * -0.5
+        cos += horner(y, mc._COS_COEFS) * y * y
+        quadrant = q.astype(np.intp)
+        a = np.take(np.array([1.0, 0.0, -1.0, 0.0]), quadrant, mode="wrap") * r
+        b = np.take(np.array([0.0, -1.0, 0.0, 1.0]), quadrant, mode="wrap") * r
+        z = np.empty(words.shape[0])
+        z[0::2] = a * cos + b * sin
+        z[1::2] = a * sin - b * cos
+        return z
+
+    @pytest.mark.parametrize("pairs", (8192, 1000, 4099))
+    def test_matches_the_strided_formulation_bit_for_bit(self, monkeypatch, pairs):
+        # 2^17 random words, then every ordered pair of the edge words 0,
+        # 2^64 - 1 (u = 1) and 2^64 - 2^11 (the least word giving u = 1); no
+        # block size divides the word count
+        import trackassoc.mc_oracle as mc
+
+        edges = np.array([0, 2**64 - 1, 2**64 - 2**11], dtype=np.uint64)
+        words = np.concatenate([mc._philox_words(17, 0, 0, 1 << 17),
+                                np.stack(np.meshgrid(edges, edges)).reshape(2, -1).T.ravel()])
+        assert (words.shape[0] // 2) % pairs
+        monkeypatch.setattr(mc, "_PAIRS_PER_BLOCK", pairs)
+        np.testing.assert_array_equal(mc._words_to_normals(words), self.strided_normals(words))
+
     def test_blocks_change_nothing(self, monkeypatch):
         import trackassoc.mc_oracle as mc
 
@@ -355,15 +404,12 @@ class TestSharedPass:
     def test_no_chunk_outlives_its_stream(self):
         # one call over the sweep-n grid must cost no more memory than its
         # largest plan alone: its streams share one buffer of normals, sized by
-        # the widest, and a copy kept beyond its stream's turn shows here
+        # the widest, and a copy kept beyond its stream's turn shows here, as
+        # does a dense projector kept beyond its N's kernels
         import tracemalloc
-
-        from trackassoc.geometry import build_projector
 
         plans = [TrialPlan(trials=20_000, seed=3, config=ScanConfig(n_scans=n, lam=2.0))
                  for n in range(20, 201, 20)]
-        for plan in plans:
-            build_projector(plan.config)
 
         def peak(*plans):
             tracemalloc.start()
@@ -374,6 +420,33 @@ class TestSharedPass:
                 tracemalloc.stop()
 
         assert peak(*plans) <= 1.05 * peak(plans[-1])
+
+    @pytest.mark.parametrize("grid,builds", [
+        ([TrialPlan(trials=200, seed=1, config=ScanConfig(n_scans=40, lam=1.0 + 0.1 * i))
+          for i in range(31)], 1),
+        ([TrialPlan(trials=200, seed=1, config=ScanConfig(n_scans=n, lam=2.0))
+          for n in range(20, 201, 20)], 10),
+        ([TrialPlan(trials=200, seed=seed, config=CONFIG) for seed in (1, 2)], 1)],
+        ids=["sweep-lambda", "sweep-n", "two-seeds"])
+    def test_one_projector_per_distinct_n(self, monkeypatch, grid, builds):
+        import trackassoc.mc_oracle as mc
+
+        calls = []
+        build = mc.build_projector
+        monkeypatch.setattr(mc, "build_projector", lambda c: calls.append(c) or build(c))
+        simulate_single_fa(*grid)
+        assert len(calls) == builds
+
+    def test_writing_into_a_projector_changes_no_estimate(self):
+        # build_projector hands every caller its own arrays: zeroing one must
+        # not reach a later estimate at the same N
+        from trackassoc.geometry import build_projector
+
+        plan = TrialPlan(trials=5_000, seed=1, config=CONFIG)
+        ref, = simulate_single_fa(plan)
+        build_projector(CONFIG).projector[:] = 0.0
+        assert simulate_single_fa(plan) == [ref]
+        assert ref.p_hat == 0.7932        # a zeroed projector reads 1.0
 
 
 class TestCostAlgebra:
@@ -413,16 +486,34 @@ class TestChunkRows:
         # 42 normals a trial at N=20; every split of the trials gives the same
         # cost differences, bit for bit
         import trackassoc.mc_oracle as mc
-        from trackassoc.geometry import build_projector
 
-        projector = build_projector(CONFIG).projector
+        kernel, = mc._kernels(CONFIG, [list(scans)])
         noise = mc._words_to_normals(mc._philox_words(3, 0, 0, 3000 * 42)).reshape(3000, 42)
         lam = np.linspace(0.5, 2.0, len(scans))[None, :]
-        ref = mc._delta_for_chunk(noise, list(scans), lam, projector)
+        ref = mc._delta_for_chunk(noise, kernel, lam)
         for rows in (1, 3, 64, 1000):
             np.testing.assert_array_equal(np.concatenate(
-                [mc._delta_for_chunk(noise[i:i + rows], list(scans), lam, projector)
+                [mc._delta_for_chunk(noise[i:i + rows], kernel, lam)
                  for i in range(0, 3000, rows)]), ref)
+
+    @pytest.mark.parametrize("n", (20, 21), ids=["padded", "unpadded"])
+    @pytest.mark.parametrize("k", (1, 4))
+    def test_padded_view_equals_its_contiguous_copy(self, n, k):
+        # a trial is 2(N + 1) normals in a row of whole 4-word blocks: 42 of
+        # 44 at N=20, 44 of 44 at N=21; the pass hands out the first 2(N + 1)
+        # columns as a view whose row stride is the row width
+        import trackassoc.mc_oracle as mc
+
+        config = ScanConfig(n_scans=n)
+        width = mc._trial_words(config.epochs, False)
+        scans = list(range(n - k + 1, n + 1))
+        kernel, = mc._kernels(config, [scans])
+        rows = mc._words_to_normals(mc._philox_words(3, 0, 0, 2000 * width)).reshape(2000, width)
+        view = rows[:, :2 * config.epochs]
+        assert view.strides[0] == 8 * width
+        lam = np.linspace(0.5, 2.0, k)[None, :]
+        np.testing.assert_array_equal(mc._delta_for_chunk(view, kernel, lam),
+                                      mc._delta_for_chunk(view.copy(), kernel, lam))
 
 
 class TestConditionalSampler:
