@@ -140,27 +140,34 @@ def _panel(f, a, b):
     return hi, abs(hi - lo)
 
 
-def adaptive_integrate(f, a, b, abs_tol=1e-10, max_depth=48):
+def adaptive_integrate(f, a, b, abs_tol=1e-10, max_depth=48, panels=1):
     """Integrate ``f`` over [a, b] to absolute tolerance ``abs_tol``.
 
     ``f`` must accept ndarray input. Refinement is by interval bisection with an
-    embedded 7/15-point Gauss pair as the local error estimate. Returns
-    (value, error_estimate). Raises IntegrationError (carrying the best estimate)
-    if the tolerance is not met at the maximum bisection depth or f is not finite.
+    embedded 7/15-point Gauss pair as the local error estimate, starting from
+    ``panels`` equal panels of [a, b]. A wide panel whose nodes all miss a
+    narrow feature passes, because its 7- and 15-point values agree while both
+    omit the feature; starting from panels whose nodes reach every such feature
+    prevents that. Returns (value, error_estimate). Raises
+    IntegrationError (carrying the best estimate) if the tolerance is not met at
+    the maximum bisection depth or f is not finite.
     """
     if not b > a:
         raise ValueError("integration interval must satisfy b > a")
     if abs_tol <= 0:
         raise ValueError("abs_tol must be positive")
+    if panels < 1:
+        raise ValueError("panels must be at least 1")
 
-    stack = [(a, b, 0)]
+    edges = [a, *(a + (b - a) * i / panels for i in range(1, panels)), b]
+    stack = [(lo, hi, 0) for lo, hi in zip(edges, edges[1:])]
     total = 0.0
     err_total = 0.0
     failed = False
     while stack:
         lo, hi, depth = stack.pop()
         val, err = _panel(f, lo, hi)
-        if not np.isfinite(val + err):  # bisecting would go on to max_depth everywhere
+        if not math.isfinite(val + err):  # bisecting would go on to max_depth everywhere
             raise IntegrationError("integrand is not finite", val, err)
         if err <= abs_tol * (hi - lo) / (b - a) or err <= 1e-16 * abs(val):
             total += val

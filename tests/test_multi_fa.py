@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from trackassoc import multi_fa
 from trackassoc.geometry import (ScanConfig, build_projector, cross_alpha, cross_theta,
                                  diag_coeffs)
 from trackassoc.mc_oracle import TrialPlan, sample_moments, simulate_multi_fa
@@ -128,7 +129,38 @@ def decoy_sets(draw):
     return n, tuple(sorted(order[:k])), offsets
 
 
+# P for equal offsets lam on the decoy scans, to 35 digits: Imhof's Gil-Pelaez
+# inversion of each coordinate's full 2K x 2K quadratic form in (e, z), not the
+# engine's closed-form phi, diagonalised and integrated (tanh-sinh over 320
+# half-unit panels of log t, error estimate below 1e-41) by mpmath at 40 digits.
+# The same recipe gives 1 - P = 4.72e-17 at (N, l, lam) = (10, 5, 10), as a 2-D
+# integral of the conditional tail does.
+MPMATH_REFERENCES = [
+    (40, (39, 40), 6.0, "0.99999999550915664518423916568499581"),
+    (40, (39, 40), 8.0, "0.99999999999999876685465620384477268"),
+    (40, (39, 40), 10.0, "0.99999999999999999999999488979078223"),
+    (40, tuple(range(37, 41)), 6.0, "0.99999999979469628323149249043068243"),
+    (40, tuple(range(37, 41)), 8.0, "0.99999999999999999844425622266777362"),
+    (40, tuple(range(37, 41)), 10.0, "0.99999999999999999999999999994031206"),
+    (40, tuple(range(33, 41)), 6.0, "0.99999999432541725288048378325042038"),
+    (40, tuple(range(33, 41)), 8.0, "0.99999999999999987233217260574292052"),
+    (40, tuple(range(33, 41)), 10.0, "0.99999999999999999999999998321335798"),
+    (10, (1, 2, 3), 4.375, "0.99566305585911706998054793031906920"),
+    (40, (1, 2, 3), 4.375, "0.99998997349151923322860431476938326"),
+    (5, (3, 4, 5), 7.5, "0.98444363666393162321512053934822534"),
+    (5, (2, 3, 4, 5), 8.75, "0.99964710876142607380505479722923369"),
+    (100, (1, 2), 7.5, "0.99999999999999999930278914086266802"),
+    (40, tuple(range(1, 9)), 2.5, "0.83485965077755938927874618935212238"),
+    (40, (38, 39, 40), 4.375, "0.99998181236570379034328141071825174"),
+]
+
+
 class TestExactProbability:
+    @pytest.mark.parametrize("n,indices,lam,reference", MPMATH_REFERENCES)
+    def test_matches_mpmath_references(self, n, indices, lam, reference):
+        fa = FalseAssocSet(indices, (lam,) * len(indices))
+        assert abs(exact_probability(fa, ScanConfig(n_scans=n)) - float(reference)) <= 1e-12
+
     @pytest.mark.parametrize("k", (2, 4, 8))
     @pytest.mark.parametrize("lam", (1.0, 2.0, 3.0))
     def test_matches_oracle(self, k, lam):
@@ -158,6 +190,34 @@ class TestExactProbability:
         assert prob_normal(mp).value == pytest.approx(normal, abs=1e-6)
         assert prob_exponential(mp, rate=1.0 / mp.v0) == pytest.approx(exponential, abs=1e-6)
 
+    @pytest.mark.parametrize("n,indices,lambdas", [(40, (40,), (2.0,)), (20, (2,), (8.75,)),
+                                                   (40, (10, 25, 40), (1.5, 2.5, 3.5)),
+                                                   (40, tuple(range(33, 41)), (6.0,) * 8)])
+    def test_integrand_matches_the_inline_formula_bit_for_bit(self, n, indices, lambdas,
+                                                              monkeypatch):
+        # the engine computes 2j a, 4 a (1 - a) and d^2 a once per value; every
+        # sample must equal phi with them written inline
+        seen = []
+
+        def record(f, *args, **kwargs):
+            seen.append(f)
+            return adaptive_integrate(f, *args, **kwargs)
+
+        monkeypatch.setattr(multi_fa, "adaptive_integrate", record)
+        fa, config = FalseAssocSet(indices, lambdas), ScanConfig(n_scans=n)
+        exact_probability(fa, config)
+        a, U = np.linalg.eigh(coefficient_matrices(fa, config)[0])
+        a = np.clip(a, 0.0, 1.0)
+        d2 = (U.T @ np.asarray(lambdas)) ** 2
+
+        def im_phi(s):
+            t = np.exp(s)[:, None]
+            D = 1.0 + 2j * a * t + 4.0 * a * (1.0 - a) * t * t
+            return np.exp((d2 * a * t * (1j - 2.0 * t) / D - np.log(D)).sum(axis=1)).imag
+
+        s = np.linspace(-50.0, 50.0, 20_001)
+        np.testing.assert_array_equal(seen[0](s).view(np.int64), im_phi(s).view(np.int64))
+
     def test_another_decoy_can_raise_the_probability(self):
         # P(K+1) <= P(K) is not a property of the model (FINDINGS.md)
         vals = [exact_probability(fa_last_k(k, 3.0), CONFIG40) for k in (1, 2, 3)]
@@ -168,6 +228,8 @@ class TestExactProbability:
                                               min_size=2, max_size=2))
     @example(case=(200, tuple(range(2, 201)), [10.0] * 199), scales=[0.95, 1.0])
     @example(case=(5, (1, 2, 3, 4), [0.0, 0.0, 0.0, 10.0]), scales=[0.0, 1.0])
+    # P is about 1e-14 at both scales; from one starting panel the near value came out 5.5e-11
+    @example(case=(26, tuple(range(1, 26)), [0.0] * 24 + [1.0]), scales=[0.0, 1.0])
     def test_in_range_and_monotone_in_distance(self, case, scales):
         # one factor scales every offset: all decoys move away together
         n, indices, offsets = case

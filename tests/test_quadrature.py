@@ -152,3 +152,41 @@ class TestAdaptiveIntegrate:
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             adaptive_integrate(np.exp, 1.0, 1.0)
+
+    def test_bad_panel_count(self):
+        with pytest.raises(ValueError):
+            adaptive_integrate(np.exp, 0.0, 1.0, panels=0)
+
+
+def narrow_bump(x):
+    # the nearest nodes of the 7/15-point pair on all of [-50, 50] sit at 0 and
+    # 10.06, 6 widths or more from the bump (exp(-36) < 3e-16), so both rules
+    # see the constant 1
+    return 1.0 + np.exp(-((x - 3.0) / 0.5) ** 2)
+
+
+class TestSeedPartition:
+    BUMP = 100.0 + 0.5 * math.sqrt(math.pi)
+
+    def test_one_panel_converges_falsely_on_a_narrow_feature(self):
+        # no error is raised: the two rules agree to 1e-14, so the panel is accepted
+        val, err = adaptive_integrate(narrow_bump, -50.0, 50.0, abs_tol=1e-12)
+        assert err < 1e-12
+        assert abs(val - self.BUMP) > 0.8
+
+    def test_seed_partition_finds_it(self):
+        val, _ = adaptive_integrate(narrow_bump, -50.0, 50.0, abs_tol=1e-12, panels=20)
+        assert val == pytest.approx(self.BUMP, abs=1e-12)
+
+    @pytest.mark.parametrize("f,a,b,abs_tol,value,error", [
+        (narrow_bump, -50.0, 50.0, 1e-12, "0x1.9000000000000p+6", "0x1.0000000000000p-46"),
+        (lambda v: 0.5 * np.exp(-v / 2.0), 0.0, 60.0, 1e-9,
+         "0x1.ffffffffffcb2p-1", "0x1.0554589ae2000p-35"),
+        (lambda x: np.cos(x) * np.exp(-(x**2) / 2.0) / math.sqrt(2.0 * math.pi), -12.0, 12.0,
+         1e-12, "0x1.368b2fc6f960bp-1", "0x1.04d1b610eb0b0p-43")])
+    def test_one_panel_start_keeps_its_values_bit_for_bit(self, f, a, b, abs_tol, value, error):
+        # frozen values of the one-panel start, which the compound laws use: a
+        # seed partition for the exact engine must not move them
+        for kwargs in ({}, {"panels": 1}):
+            val, err = adaptive_integrate(f, a, b, abs_tol=abs_tol, **kwargs)
+            assert (val.hex(), err.hex()) == (value, error)

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 from scipy.stats import kstest
 
-from trackassoc.geometry import ScanConfig, diag_coeffs
+from trackassoc.geometry import ScanConfig, diag_coeffs, leverage
 from trackassoc.mc_oracle import TrialPlan, simulate_conditional, simulate_single_fa
 from trackassoc.quadrature import gauss_hermite, normal_upper_tail
 from trackassoc.single_fa import (RandomLambda, closed_form_coefficients,
@@ -57,7 +57,59 @@ def polar_oracle(l, config):
     return val
 
 
+def poisson_series(h, lam):
+    """Exact one-decoy P from the scan's leverage h alone, as a Poisson series in float64.
+
+    Swapping the scan's measurement for the decoy changes the cost by
+    (1 - h)(|Y|^2 - |X|^2): X and Y are the measurement's and the decoy's
+    offsets from the leave-one-out prediction, two correlated circular
+    Gaussians, with s^2 = h / (1 - h). P(|X|^2 < |Y|^2) is Q1(a, b) - c e^(-(a^2+b^2)/2) I0(ab)
+    (Stein 1964; Proakis, Digital Communications, App. B), which with A = a^2/2
+    and B = b^2/2 is sum_j Pois(j; A) [P(Pois(B) <= j) - c Pois(j; B)].
+    """
+    s2 = h / (1.0 - h)
+    w = 1.0 / (4.0 * s2)
+    r = w * math.sqrt(1.0 + 4.0 * s2)
+    v1, v2 = r - w, r + w
+    c = v2 / (v1 + v2)
+    a1, a2 = 2.0 * lam * lam * (1.0 + s2), -lam * lam
+    A = v1 * v1 * v2 * (a1 * v2 - a2) / (v1 + v2) ** 2
+    B = v1 * v2 * v2 * (a1 * v1 + a2) / (v1 + v2) ** 2
+
+    def pois(j, x):
+        return math.exp(j * math.log(x) - x - math.lgamma(j + 1)) if x > 0 else float(j == 0)
+
+    terms, cdf_b = [], 0.0
+    for j in range(int(A + 15.0 * math.sqrt(A)) + 41):   # Pois(A) mass past: < 1e-50, A <= 100
+        pb = pois(j, B)
+        cdf_b += pb
+        terms.append(pois(j, A) * (min(cdf_b, 1.0) - c * pb))
+    return math.fsum(terms)
+
+
 class TestExactProbability:
+    def test_poisson_series_at_zero_offset(self):
+        # the oracle's own check: at lam = 0 the series is its first term, 1 - c
+        for n, l in [(5, 1), (10, 5), (40, 40), (200, 100)]:
+            h = leverage(l, ScanConfig(n_scans=n))
+            want = 0.5 * (1.0 - math.sqrt((1.0 - h) / (1.0 + 3.0 * h)))
+            assert poisson_series(h, 0.0) == pytest.approx(want, abs=1e-15)
+
+    def test_matches_poisson_series_on_a_dense_grid(self):
+        # the engine asks its quadrature for 1e-12; from one starting panel it
+        # converged falsely at lam >= 7.5, up to 5.4e-10 off (FINDINGS 21).
+        # 749 points: N 5..200, scans 1, N/2, N-1 and N, lam 0..10 in steps of
+        # 0.625, and (20, 2, 8.75), the worst of the one-panel start
+        grid = {(n, l, float(lam)) for n in (5, 7, 8, 10, 13, 20, 26, 40, 70, 120, 200)
+                for l in {1, n // 2, n - 1, n} for lam in np.arange(0.0, 10.001, 0.625)}
+        misses = []
+        for n, l, lam in sorted(grid | {(20, 2, 8.75)}):
+            config = ScanConfig(n_scans=n, lam=lam)
+            gap = abs(exact_probability(l, config) - poisson_series(leverage(l, config), lam))
+            if gap > 1e-12:
+                misses.append((n, l, lam, gap))
+        assert misses == []
+
     def test_far_decoy(self):
         assert exact_probability(40, ScanConfig(n_scans=40, lam=8.0)) >= 0.999
 
