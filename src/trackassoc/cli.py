@@ -197,18 +197,30 @@ def _multi_fa_row(spec, approx, lam):
     config = ScanConfig(n_scans=spec.n_scans)
     indices = tuple(range(spec.n_scans - spec.k + 1, spec.n_scans + 1))
     fa = multi_fa.FalseAssocSet(indices=indices, lambdas=(lam,) * spec.k)
-    compound = {"chi2", "normal", "exponential"} & set(spec.methods)
-    mp = multi_fa.moment_params(fa, config) if compound else None
     row = {}
     if "exact" in spec.methods:
         row["exact"] = multi_fa.exact_probability(fa, config)
-    if "chi2" in spec.methods:
-        row["chi2"] = multi_fa.prob_chi2(spec.k, mp)
-    if "normal" in spec.methods:
-        row["normal"] = multi_fa.prob_normal(mp).value
-    if "exponential" in spec.methods:
-        row["exponential"] = multi_fa.prob_exponential(mp, rate=1.0 / mp.v0)
     return row, mc_oracle.TrialPlan(trials=spec.trials, seed=spec.seed, config=config, fa=fa)
+
+
+def _compound_columns(spec, plans):
+    """The compound-law columns ``spec`` asks for, as {column: one value per plan}.
+
+    Each law is one call over the decoy sets of the whole grid, which runs all
+    of its integrals in one lockstep quadrature.
+    """
+    if not {"chi2", "normal", "exponential"} & set(spec.methods):
+        return {}
+    mps = [multi_fa.moment_params(plan.fa, plan.config) for plan in plans]
+    columns = {}
+    if "chi2" in spec.methods:
+        columns["chi2"] = multi_fa.prob_chi2(spec.k, *mps)
+    if "normal" in spec.methods:
+        columns["normal"] = [res.value for res in multi_fa.prob_normal(*mps)]
+    if "exponential" in spec.methods:
+        columns["exponential"] = multi_fa.prob_exponential(
+            *mps, rates=[1.0 / mp.v0 for mp in mps])
+    return columns
 
 
 def _dtmc_row(spec, approx, p):
@@ -252,8 +264,9 @@ EXPERIMENTS = {
 def _experiment_rows(spec: ExperimentSpec):
     """(header, rows) for the experiment; rows are lists of floats led by x.
 
-    The row functions compute the analytic columns; the Monte Carlo columns
-    come last, from one simulator call over the plans of the whole grid.
+    The row functions compute each point's own columns; the compound
+    laws follow, one call per law over the decoy sets of the whole grid, and
+    the Monte Carlo columns come last, from one simulator call over the plans.
     """
     experiment = EXPERIMENTS[spec.experiment]
     approx = single_fa.fit_gammas(spec.n_steps, spec.support_k)
@@ -264,6 +277,9 @@ def _experiment_rows(spec: ExperimentSpec):
             rows, plans = zip(*pool.map(row_fn, xs))
     else:
         rows, plans = zip(*[row_fn(x) for x in xs])
+    for column, values in _compound_columns(spec, plans).items():
+        for row, value in zip(rows, values):
+            row[column] = value
     if "mc" in spec.methods:
         simulate = (mc_oracle.simulate_multi_fa if plans[0].fa is not None
                     else mc_oracle.simulate_single_fa)

@@ -169,45 +169,65 @@ def _poisson_head(K, x):
     return math.fsum(math.exp(j * log_x - x - math.lgamma(j + 1)) for j in range(K))
 
 
-def _variance_law(mp: MomentParams, law: str, K: int | None = None,
-                  rate: float | None = None):
-    """(weight, lo, hi): the density of v1 under ``law`` and the interval it is integrated over.
+_SQRT_2PI = math.sqrt(2 * np.pi)
 
-    "chi2" is chi-square(2K) as tabulated (no rescaling), cut where its upper
-    tail falls below 1e-10; "normal" is N(v0, s0_sq) over v0 +- 12 s0, cut
-    below at -sigma0_sq, where sigma0_sq + v1 stops being a variance (its
-    interval is empty when s0_sq = 0); "exponential" is Exp(rate) on [0, 40/rate].
+
+def _variance_law(law: str, mps, K: int | None = None, rates=None):
+    """(weight, lo, hi): the density of v1 under ``law`` for each moment set, and the intervals.
+
+    ``weight(v, rows)`` evaluates the densities of the sets ``rows`` on the rows
+    of ``v`` (a scalar row takes one set's density along a 1-D ``v``); ``lo`` and
+    ``hi`` list each set's interval. "chi2" is chi-square(2K) as tabulated (no
+    rescaling), cut where its upper tail falls below 1e-10; "normal" is N(v0,
+    s0_sq) over v0 +- 12 s0, cut below at -sigma0_sq, where sigma0_sq + v1 stops
+    being a variance (its interval is empty when s0_sq = 0); "exponential" is
+    Exp(rate) on [0, 40/rate], with one rate per set.
     """
     if law == "chi2":
         if K is None or K < 1:
             raise ValueError("chi2 law needs K >= 1")
-        df = 2 * K
-        return (lambda v: _chi2_pdf(v, df)), 0.0, _chi2_upper_cutoff(df)
+        df, cutoff = 2 * K, _chi2_upper_cutoff(2 * K)
+        return (lambda v, rows: _chi2_pdf(v, df)), [0.0] * len(mps), [cutoff] * len(mps)
     if law == "normal":
-        s0 = math.sqrt(mp.s0_sq)
-        lo = max(-mp.sigma0_sq + 1e-12 * (1.0 + mp.sigma0_sq), mp.v0 - 12.0 * s0)
-        return ((lambda v: np.exp(-0.5 * ((v - mp.v0) / s0) ** 2) / (s0 * math.sqrt(2 * np.pi))),
-                lo, mp.v0 + 12.0 * s0)
+        s0 = [math.sqrt(mp.s0_sq) for mp in mps]
+        lo = [max(-mp.sigma0_sq + 1e-12 * (1.0 + mp.sigma0_sq), mp.v0 - 12.0 * s)
+              for mp, s in zip(mps, s0)]
+        hi = [mp.v0 + 12.0 * s for mp, s in zip(mps, s0)]
+        v0, s0 = np.array([mp.v0 for mp in mps])[:, None], np.array(s0)[:, None]
+        return ((lambda v, rows: np.exp(-0.5 * ((v - v0[rows]) / s0[rows]) ** 2)
+                 / (s0[rows] * _SQRT_2PI)), lo, hi)
     if law == "exponential":
-        if rate is None or not rate > 0:
-            raise ValueError("exponential law needs a positive rate")
-        return (lambda v: rate * np.exp(-rate * v)), 0.0, 40.0 / rate
+        if rates is None or len(rates) != len(mps) or not all(r is not None and r > 0
+                                                              for r in rates):
+            raise ValueError("exponential law needs a positive rate for each moment set")
+        rate = np.array(rates, dtype=float)[:, None]
+        return ((lambda v, rows: rate[rows] * np.exp(-rate[rows] * v)),
+                [0.0] * len(mps), [40.0 / r for r in rates])
     raise ValueError(f"unknown variance law {law!r}")
 
 
-def _compound_tail(mp: MomentParams, weight, lo: float, hi: float) -> float:
-    """Integral of upper_tail(m0 / sqrt(sigma0_sq + v1)) against a v1 law, clamped to [0, 1]."""
+def _compound_tails(mps, weight, lo, hi, sets) -> list:
+    """Integral of upper_tail(m0 / sqrt(sigma0_sq + v1)) against the v1 law of each set, in [0, 1].
 
-    def f(v):
-        return normal_upper_tail(mp.m0 / np.sqrt(mp.sigma0_sq + v)) * weight(v)
+    ``sets`` picks the moment sets to integrate (indices into ``mps``, ``lo``,
+    ``hi`` and the rows of ``weight``). One lockstep ``adaptive_integrate`` call
+    runs all of their integrals, each value bit for bit that of a call of its own.
+    """
+    sets = np.array(sets, dtype=int)
+    m0 = np.array([mp.m0 for mp in mps])[:, None]
+    s2 = np.array([mp.sigma0_sq for mp in mps])[:, None]
 
-    val, _ = adaptive_integrate(f, lo, hi, abs_tol=1e-8)
-    return min(max(val, 0.0), 1.0)
+    def f(v, members):
+        rows = sets[members]
+        return normal_upper_tail(m0[rows] / np.sqrt(s2[rows] + v)) * weight(v, rows)
+
+    found = adaptive_integrate(f, [lo[i] for i in sets], [hi[i] for i in sets], abs_tol=1e-8)
+    return [min(max(val, 0.0), 1.0) for val, _ in found]
 
 
-def prob_chi2(K: int, mp: MomentParams) -> float:
-    """Compound tail with v1 ~ chi-square(2K), as tabulated (no rescaling)."""
-    return _compound_tail(mp, *_variance_law(mp, "chi2", K=K))
+def prob_chi2(K: int, *mps: MomentParams) -> list[float]:
+    """Compound tail with v1 ~ chi-square(2K), as tabulated (no rescaling), one value per set."""
+    return _compound_tails(mps, *_variance_law("chi2", mps, K=K), range(len(mps)))
 
 
 class NormalCompound(NamedTuple):
@@ -216,27 +236,33 @@ class NormalCompound(NamedTuple):
     unreliable: bool
 
 
-def prob_normal(mp: MomentParams) -> NormalCompound:
-    """Compound tail with v1 ~ N(v0, s0_sq), restricted to v1 > -sigma0_sq.
+def prob_normal(*mps: MomentParams) -> list[NormalCompound]:
+    """Compound tail with v1 ~ N(v0, s0_sq), restricted to v1 > -sigma0_sq, one result per set.
 
     The normal law puts mass on negative variances; if the mass at v1 <= 0
     exceeds 0.05 the result is flagged unreliable (the weight below -sigma0_sq,
-    where the integrand is undefined, is dropped entirely). With s0_sq = 0 the
-    law is a point mass at v0.
+    where the integrand is undefined, is dropped entirely). A set whose interval
+    is empty, as with s0_sq = 0, takes the point mass at v0.
     """
-    s0 = math.sqrt(mp.s0_sq)
-    neg_mass = float(normal_upper_tail((mp.v0 - 0.0) / s0)) if s0 > 0 else float(mp.v0 <= 0)
-    weight, lo, hi = _variance_law(mp, "normal")
-    if hi <= lo:
-        val = float(normal_upper_tail(mp.m0 / math.sqrt(mp.sigma0_sq + mp.v0)))
-    else:
-        val = _compound_tail(mp, weight, lo, hi)
-    return NormalCompound(value=val, negative_mass=neg_mass, unreliable=neg_mass > 0.05)
+    weight, lo, hi = _variance_law("normal", mps)
+    spread = [i for i in range(len(mps)) if hi[i] > lo[i]]
+    tails = dict(zip(spread, _compound_tails(mps, weight, lo, hi, spread)))
+    out = []
+    for i, mp in enumerate(mps):
+        s0 = math.sqrt(mp.s0_sq)
+        neg_mass = float(normal_upper_tail((mp.v0 - 0.0) / s0)) if s0 > 0 else float(mp.v0 <= 0)
+        val = tails[i] if i in tails else float(
+            normal_upper_tail(mp.m0 / math.sqrt(mp.sigma0_sq + mp.v0)))
+        out.append(NormalCompound(value=val, negative_mass=neg_mass, unreliable=neg_mass > 0.05))
+    return out
 
 
-def prob_exponential(mp: MomentParams, rate: float) -> float:
-    """Compound tail with v1 ~ Exp(rate) by quadrature; see tabulated.exponential_series."""
-    return _compound_tail(mp, *_variance_law(mp, "exponential", rate=rate))
+def prob_exponential(*mps: MomentParams, rates) -> list[float]:
+    """Compound tail with v1 ~ Exp(rate), one rate and one value per set.
+
+    The tabulated series for the same law is tabulated.exponential_series.
+    """
+    return _compound_tails(mps, *_variance_law("exponential", mps, rates=rates), range(len(mps)))
 
 
 def compound_density(mp: MomentParams, law: str = "chi2", K: int | None = None,
@@ -258,7 +284,7 @@ def compound_density(mp: MomentParams, law: str = "chi2", K: int | None = None,
 
         return h_point
 
-    weight, lo, hi = _variance_law(mp, law, K=K, rate=rate)
+    weight, (lo,), (hi,) = _variance_law(law, [mp], K=K, rates=[rate])
     if hi <= lo:
         raise ValueError("zero-variance normal law: use law='point'")
 
@@ -268,7 +294,8 @@ def compound_density(mp: MomentParams, law: str = "chi2", K: int | None = None,
         def point(dd):
             def f(v):
                 s2 = mp.sigma0_sq + v
-                return weight(v) * np.exp(-0.5 * (dd + mp.m0) ** 2 / s2) / np.sqrt(2 * np.pi * s2)
+                return (weight(v, 0) * np.exp(-0.5 * (dd + mp.m0) ** 2 / s2)
+                        / np.sqrt(2 * np.pi * s2))
 
             val, _ = adaptive_integrate(f, lo, hi, abs_tol=1e-10)
             return val

@@ -27,8 +27,9 @@ MAX_GAUSS_HERMITE_ORDER = 200
 class IntegrationError(RuntimeError):
     """Raised when quadrature cannot reach the requested tolerance.
 
-    Carries the best available estimate and its error bound so callers can
-    degrade gracefully instead of losing the partial result.
+    Carries the best available estimate and its error estimate (``error_bound``,
+    a sum of 7/15-point gaps like ``adaptive_integrate``'s, not a bound) so
+    callers can degrade gracefully instead of losing the partial result.
     """
 
     def __init__(self, message, estimate, error_bound):
@@ -125,61 +126,92 @@ def gauss_hermite(order):
 
 
 # Embedded Gauss-Legendre pair reused by every bisection: the 15-point value is
-# the estimate, the 7-point value only feeds the error estimate.
-_GL_LO = np.polynomial.legendre.leggauss(7)
-_GL_HI = np.polynomial.legendre.leggauss(15)
-
-
-def _panel(f, a, b):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x7, w7 = _GL_LO
-    x15, w15 = _GL_HI
-    lo = half * float(np.dot(w7, f(mid + half * x7)))
-    hi = half * float(np.dot(w15, f(mid + half * x15)))
-    return hi, abs(hi - lo)
+# the estimate, the 7-point value only feeds the error estimate. A panel's nodes
+# for both rules come from one product and one sum over their 22 abscissae, two
+# array operations fewer per panel than a pair per rule, and are then split.
+_X7, _W7 = np.polynomial.legendre.leggauss(7)
+_X15, _W15 = np.polynomial.legendre.leggauss(15)
+_X = np.concatenate([_X7, _X15])
 
 
 def adaptive_integrate(f, a, b, abs_tol=1e-10, max_depth=48, panels=1):
     """Integrate ``f`` over [a, b] to absolute tolerance ``abs_tol``.
 
     ``f`` must accept ndarray input. Refinement is by interval bisection with an
-    embedded 7/15-point Gauss pair as the local error estimate, starting from
-    ``panels`` equal panels of [a, b]. A wide panel whose nodes all miss a
-    narrow feature passes, because its 7- and 15-point values agree while both
-    omit the feature; starting from panels whose nodes reach every such feature
-    prevents that. Returns (value, error_estimate). Raises
+    embedded 7/15-point Gauss pair, starting from ``panels`` equal panels of
+    [a, b]. A wide panel whose nodes all miss a narrow feature passes, because
+    its 7- and 15-point values agree while both omit the feature; starting from
+    panels whose nodes reach every such feature prevents that. Returns (value,
+    error_estimate). The error estimate is the sum of the accepted panels'
+    7/15-point gaps, not a bound: a panel whose nodes miss a feature adds almost
+    nothing to it (2.9e-13 for a panel that lost 1.7e-9, FINDINGS 21). Raises
     IntegrationError (carrying the best estimate) if the tolerance is not met at
     the maximum bisection depth or f is not finite.
+
+    Batch form: with ``a`` and ``b`` sequences of P interval ends, ``f(x,
+    members)`` evaluates the integrands ``members`` (an index array into the P)
+    on the rows of ``x``, one row of nodes per member, and the call returns a
+    list of P (value, error_estimate) pairs, each member's error its own. Each
+    member keeps its own panel stack, acceptance test and totals. Each round
+    takes the next panel of every member still bisecting and evaluates them
+    with one call per rule, so a member gets the same panels, sums and value,
+    bit for bit, as a call of its own. A failing member raises the
+    IntegrationError of its own call: a non-finite value in the round it
+    appears, a missed tolerance once every member is done, the first such
+    member's.
     """
-    if not b > a:
+    batch = np.ndim(a) > 0
+    ends = list(zip(a, b, strict=True)) if batch else [(a, b)]
+    if not all(hi > lo for lo, hi in ends):
         raise ValueError("integration interval must satisfy b > a")
     if abs_tol <= 0:
         raise ValueError("abs_tol must be positive")
     if panels < 1:
         raise ValueError("panels must be at least 1")
 
-    edges = [a, *(a + (b - a) * i / panels for i in range(1, panels)), b]
-    stack = [(lo, hi, 0) for lo, hi in zip(edges, edges[1:])]
-    total = 0.0
-    err_total = 0.0
-    failed = False
-    while stack:
-        lo, hi, depth = stack.pop()
-        val, err = _panel(f, lo, hi)
-        if not math.isfinite(val + err):  # bisecting would go on to max_depth everywhere
-            raise IntegrationError("integrand is not finite", val, err)
-        if err <= abs_tol * (hi - lo) / (b - a) or err <= 1e-16 * abs(val):
-            total += val
-            err_total += err
-        elif depth >= max_depth:
-            total += val
-            err_total += err
-            failed = True
+    stacks = []
+    for lo, hi in ends:
+        edges = [lo, *(lo + (hi - lo) * i / panels for i in range(1, panels)), hi]
+        stacks.append([(x0, x1, 0) for x0, x1 in zip(edges, edges[1:])])
+    widths = [hi - lo for lo, hi in ends]
+    totals = [0.0] * len(ends)
+    err_totals = [0.0] * len(ends)
+    failed = [False] * len(ends)
+    members = list(range(len(ends)))
+    active = stacks[:]                   # the stacks of ``members``
+    while active:
+        popped = list(map(list.pop, active))
+        if batch:
+            lo, hi = np.array([panel[:2] for panel in popped]).T
+            nodes = (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * _X
+            rows = np.array(members)
+            y7, y15 = f(nodes[:, :7], rows), f(nodes[:, 7:], rows)
         else:
-            mid = 0.5 * (lo + hi)
-            stack.append((lo, mid, depth + 1))
-            stack.append((mid, hi, depth + 1))
-    if failed or err_total > max(abs_tol, 1e-14 * abs(total)):
-        raise IntegrationError("maximum bisection depth exceeded", total, err_total)
-    return total, err_total
+            (lo, hi, _), = popped
+            nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _X
+            y7, y15 = (f(nodes[:7]),), (f(nodes[7:]),)
+        for i, (lo, hi, depth), row7, row15 in zip(members, popped, y7, y15):
+            half = 0.5 * (hi - lo)
+            # ndarray.dot is np.dot's own product, without its dispatch cost
+            val = half * float(_W15.dot(row15))
+            err = abs(val - half * float(_W7.dot(row7)))
+            if not math.isfinite(val + err):  # bisecting would go on to max_depth everywhere
+                raise IntegrationError("integrand is not finite", val, err)
+            if err <= abs_tol * (hi - lo) / widths[i] or err <= 1e-16 * abs(val):
+                totals[i] += val
+                err_totals[i] += err
+            elif depth >= max_depth:
+                totals[i] += val
+                err_totals[i] += err
+                failed[i] = True
+            else:
+                mid = 0.5 * (lo + hi)
+                stacks[i] += (lo, mid, depth + 1), (mid, hi, depth + 1)
+        if not all(active):
+            members = [i for i in members if stacks[i]]
+            active = [stacks[i] for i in members]
+    for total, err_total, fail in zip(totals, err_totals, failed):
+        if fail or err_total > max(abs_tol, 1e-14 * abs(total)):
+            raise IntegrationError("maximum bisection depth exceeded", total, err_total)
+    found = list(zip(totals, err_totals))
+    return found if batch else found[0]

@@ -180,7 +180,7 @@ def test_criterion_08_multi_decoy_compound():
     ests = simulate_multi_fa(*(TrialPlan(trials=100_000, seed=42, config=config, fa=fa)
                                for fa in fas))
     for fa, est in zip(fas, ests):
-        worst = max(worst, abs(prob_chi2(2, moment_params(fa, config)) - est.p_hat))
+        worst = max(worst, abs(prob_chi2(2, moment_params(fa, config))[0] - est.p_hat))
     moment_ok = True
     moment_detail = []
     for lam in (1.0, 2.5):
@@ -231,7 +231,7 @@ def test_criterion_10_decoy_count_effect():
     for k in (4, 8):
         indices = tuple(range(41 - k, 41))
         mp = moment_params(FalseAssocSet(indices=indices, lambdas=(3.5,) * k), config)
-        probs[k] = prob_chi2(k, mp)
+        probs[k] = prob_chi2(k, mp)[0]
     ok = probs[8] < probs[4]
     _check(10, "more decoys lower the probability (K=8 < K=4 at lam=3.5)",
            ok, f"P(K=4)={probs[4]:.6f}, P(K=8)={probs[8]:.6f}")

@@ -250,7 +250,7 @@ class TestMultiFa:
         assert abs(mp.sigma0_sq - sample.m1_var) <= 3 * sample.m1_var_se
         assert abs(mp.v0 - sample.v1_mean) <= 3 * sample.v1_mean_se
         assert abs(mp.s0_sq - sample.v1_var) <= 3 * sample.v1_var_se
-        assert abs(prob_chi2(3, mp) - est.p_hat) <= 0.05
+        assert abs(prob_chi2(3, mp)[0] - est.p_hat) <= 0.05
 
     def test_requires_fa(self):
         with pytest.raises(ValueError):

@@ -186,9 +186,9 @@ class TestExactProbability:
         fa = fa_last_k(k, 2.0)
         mp = moment_params(fa, CONFIG40)
         assert exact_probability(fa, CONFIG40) == pytest.approx(exact, abs=1e-6)
-        assert prob_chi2(k, mp) == pytest.approx(chi2, abs=1e-6)
-        assert prob_normal(mp).value == pytest.approx(normal, abs=1e-6)
-        assert prob_exponential(mp, rate=1.0 / mp.v0) == pytest.approx(exponential, abs=1e-6)
+        assert prob_chi2(k, mp)[0] == pytest.approx(chi2, abs=1e-6)
+        assert prob_normal(mp)[0].value == pytest.approx(normal, abs=1e-6)
+        assert prob_exponential(mp, rates=[1.0 / mp.v0])[0] == pytest.approx(exponential, abs=1e-6)
 
     @pytest.mark.parametrize("n,indices,lambdas", [(40, (40,), (2.0,)), (20, (2,), (8.75,)),
                                                    (40, (10, 25, 40), (1.5, 2.5, 3.5)),
@@ -243,32 +243,32 @@ class TestExactProbability:
 
 class TestProbChi2:
     def test_limits_in_m0(self):
-        assert prob_chi2(2, MomentParams(-60.0, 4.0, 4.0, 8.0)) == pytest.approx(1.0, abs=1e-9)
-        assert prob_chi2(2, MomentParams(+60.0, 4.0, 4.0, 8.0)) == pytest.approx(0.0, abs=1e-9)
+        assert prob_chi2(2, MomentParams(-60.0, 4.0, 4.0, 8.0))[0] == pytest.approx(1.0, abs=1e-9)
+        assert prob_chi2(2, MomentParams(+60.0, 4.0, 4.0, 8.0))[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_sigma0_dominant(self):
         mp = MomentParams(m0=-3.0, sigma0_sq=1.0e6, v0=4.0, s0_sq=8.0)
         target = float(normal_upper_tail(-3.0 / 1000.0))
-        assert prob_chi2(2, mp) == pytest.approx(target, abs=1e-6)
+        assert prob_chi2(2, mp)[0] == pytest.approx(target, abs=1e-6)
 
     def test_k2_against_oracle_spot(self):
         fa = fa_last_k(2, 2.0)
         mp = moment_params(fa, CONFIG40)
         est, = simulate_multi_fa(TrialPlan(trials=100_000, seed=13, config=CONFIG40, fa=fa))
-        assert abs(prob_chi2(2, mp) - est.p_hat) <= 0.1
+        assert abs(prob_chi2(2, mp)[0] - est.p_hat) <= 0.1
 
     def test_monotone_in_distance(self):
-        vals = [prob_chi2(2, moment_params(fa_last_k(2, lam), CONFIG40))
+        vals = [prob_chi2(2, moment_params(fa_last_k(2, lam), CONFIG40))[0]
                 for lam in np.arange(1.0, 4.01, 0.5)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_k_effect(self):
-        p4 = prob_chi2(4, moment_params(fa_last_k(4, 3.5), CONFIG40))
-        p8 = prob_chi2(8, moment_params(fa_last_k(8, 3.5), CONFIG40))
+        p4 = prob_chi2(4, moment_params(fa_last_k(4, 3.5), CONFIG40))[0]
+        p8 = prob_chi2(8, moment_params(fa_last_k(8, 3.5), CONFIG40))[0]
         assert p8 < p4
 
     def test_orientation_large_distance(self):
-        assert prob_chi2(2, moment_params(fa_last_k(2, 6.0), CONFIG40)) >= 0.999
+        assert prob_chi2(2, moment_params(fa_last_k(2, 6.0), CONFIG40))[0] >= 0.999
 
 
 class TestChi2UpperCutoff:
@@ -287,28 +287,28 @@ class TestProbNormal:
     def test_point_mass_limit(self):
         mp = MomentParams(m0=-2.0, sigma0_sq=3.0, v0=5.0, s0_sq=1e-12)
         target = float(normal_upper_tail(-2.0 / math.sqrt(3.0 + 5.0)))
-        assert prob_normal(mp).value == pytest.approx(target, abs=1e-7)
+        assert prob_normal(mp)[0].value == pytest.approx(target, abs=1e-7)
 
     def test_matches_chi2_for_large_k(self):
         fa = fa_last_k(8, 2.0)
         mp = moment_params(fa, CONFIG40)
-        assert abs(prob_normal(mp).value - prob_chi2(8, mp)) <= 0.05
+        assert abs(prob_normal(mp)[0].value - prob_chi2(8, mp)[0]) <= 0.05
 
     def test_k2_against_oracle_spot(self):
         fa = fa_last_k(2, 3.0)
         mp = moment_params(fa, CONFIG40)
         est, = simulate_multi_fa(TrialPlan(trials=100_000, seed=17, config=CONFIG40, fa=fa))
-        assert abs(prob_normal(mp).value - est.p_hat) <= 0.1
+        assert abs(prob_normal(mp)[0].value - est.p_hat) <= 0.1
 
     def test_negative_mass_flag(self):
         # single scan, zero offset: v0/s0 = 1 sigma -> ~16% mass below zero
         fa = FalseAssocSet(indices=(40,), lambdas=(0.0,))
-        res = prob_normal(moment_params(fa, CONFIG40))
+        res = prob_normal(moment_params(fa, CONFIG40))[0]
         assert res.negative_mass > 0.05
         assert res.unreliable
 
     def test_reliable_when_mass_negligible(self):
-        res = prob_normal(moment_params(fa_last_k(8, 2.0), CONFIG40))
+        res = prob_normal(moment_params(fa_last_k(8, 2.0), CONFIG40))[0]
         assert res.negative_mass < 0.05
         assert not res.unreliable
 
@@ -317,24 +317,94 @@ class TestProbExponential:
     def test_rate_half_equals_chi2_two_dof(self):
         fa = FalseAssocSet(indices=(40,), lambdas=(2.0,))
         mp = moment_params(fa, CONFIG40)
-        assert prob_exponential(mp, rate=0.5) == pytest.approx(prob_chi2(1, mp), abs=1e-6)
+        assert prob_exponential(mp, rates=[0.5])[0] == pytest.approx(prob_chi2(1, mp)[0], abs=1e-6)
 
     def test_concentration_limit(self):
         mp = MomentParams(m0=-1.5, sigma0_sq=2.0, v0=4.0, s0_sq=8.0)
         target = float(normal_upper_tail(-1.5 / math.sqrt(2.0)))
-        assert prob_exponential(mp, rate=1e7) == pytest.approx(target, abs=1e-5)
+        assert prob_exponential(mp, rates=[1e7])[0] == pytest.approx(target, abs=1e-5)
 
     def test_series_reported_with_diagnostic(self):
         mp = moment_params(fa_last_k(2, 2.5), CONFIG40)
         series, diagnostic = exponential_series(mp, rate=0.5, series_terms=8)
         assert diagnostic
         # the tabulated recursion does not reproduce the quadrature value
-        assert math.isnan(series) or abs(series - prob_exponential(mp, rate=0.5)) > 1e-3
+        assert math.isnan(series) or abs(series - prob_exponential(mp, rates=[0.5])[0]) > 1e-3
 
     def test_rejects_bad_rate(self):
         mp = MomentParams(-1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            prob_exponential(mp, rate=0.0)
+            prob_exponential(mp, rates=[0.0])
+
+
+def one_point(mp, law, K=None, rate=None):
+    """The compound tail of one moment set by a quadrature of its own, as written per point.
+
+    The loop reference for the batched laws: each law's density and interval
+    inline, one scalar ``adaptive_integrate`` call.
+    """
+    if law == "chi2":
+        weight, lo, hi = (lambda v: multi_fa._chi2_pdf(v, 2 * K)), 0.0, _chi2_upper_cutoff(2 * K)
+    elif law == "normal":
+        s0 = math.sqrt(mp.s0_sq)
+        lo = max(-mp.sigma0_sq + 1e-12 * (1.0 + mp.sigma0_sq), mp.v0 - 12.0 * s0)
+        hi = mp.v0 + 12.0 * s0
+        if hi <= lo:
+            return float(normal_upper_tail(mp.m0 / math.sqrt(mp.sigma0_sq + mp.v0)))
+
+        def weight(v):
+            return np.exp(-0.5 * ((v - mp.v0) / s0) ** 2) / (s0 * math.sqrt(2 * np.pi))
+    else:
+        weight, lo, hi = (lambda v: rate * np.exp(-rate * v)), 0.0, 40.0 / rate
+
+    def f(v):
+        return normal_upper_tail(mp.m0 / np.sqrt(mp.sigma0_sq + v)) * weight(v)
+
+    val, _ = adaptive_integrate(f, lo, hi, abs_tol=1e-8)
+    return min(max(val, 0.0), 1.0)
+
+
+class TestBatchedLaws:
+    """One call over a lambda grid gives each set's own value, bit for bit."""
+
+    @staticmethod
+    def grid(k):
+        return [moment_params(fa_last_k(k, lam), CONFIG40) for lam in np.arange(0.0, 4.01, 0.25)]
+
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    def test_chi2(self, k):
+        mps = self.grid(k)
+        batch = prob_chi2(k, *mps)
+        assert batch == [one_point(mp, "chi2", K=k) for mp in mps]
+        assert batch == [prob_chi2(k, mp)[0] for mp in mps]
+
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    def test_exponential(self, k):
+        mps = self.grid(k)
+        rates = [1.0 / mp.v0 for mp in mps]
+        batch = prob_exponential(*mps, rates=rates)
+        assert batch == [one_point(mp, "exponential", rate=r) for mp, r in zip(mps, rates)]
+        assert batch == [prob_exponential(mp, rates=[r])[0] for mp, r in zip(mps, rates)]
+
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    def test_normal_with_a_point_mass_member(self, k):
+        mps = self.grid(k)
+        at = len(mps) // 2
+        mps.insert(at, MomentParams(m0=-2.0, sigma0_sq=3.0, v0=5.0, s0_sq=0.0))  # empty interval
+        batch = prob_normal(*mps)
+        assert len(batch) == len(mps)
+        for mp, res in zip(mps, batch):
+            s0 = math.sqrt(mp.s0_sq)
+            neg = float(normal_upper_tail(mp.v0 / s0)) if s0 > 0 else float(mp.v0 <= 0)
+            assert res == (one_point(mp, "normal"), neg, neg > 0.05)
+            assert res == prob_normal(mp)[0]
+        assert batch[at].value == float(normal_upper_tail(-2.0 / math.sqrt(8.0)))
+        assert {res.unreliable for res in batch} == {True, False}    # both flags are compared
+
+    def test_every_exponential_set_needs_its_rate(self):
+        mps = self.grid(2)[:3]
+        with pytest.raises(ValueError):
+            prob_exponential(*mps, rates=[1.0, 1.0])
 
 
 class TestCompoundDensity:
@@ -361,7 +431,7 @@ class TestCompoundDensity:
         span = 14.0 * math.sqrt(mp.sigma0_sq + mp.v0)
         tail, _ = adaptive_integrate(lambda d: h(d), 0.0, span - min(mp.m0, 0.0),
                                      abs_tol=1e-8)
-        assert tail == pytest.approx(prob_chi2(2, mp), abs=1e-6)
+        assert tail == pytest.approx(prob_chi2(2, mp)[0], abs=1e-6)
 
     def test_tail_matches_prob_normal(self):
         mp = moment_params(fa_last_k(8, 2.0), CONFIG40)
@@ -369,7 +439,7 @@ class TestCompoundDensity:
         span = 14.0 * math.sqrt(mp.sigma0_sq + mp.v0)
         tail, _ = adaptive_integrate(lambda d: h(d), 0.0, span - min(mp.m0, 0.0),
                                      abs_tol=1e-8)
-        assert tail == pytest.approx(prob_normal(mp).value, abs=1e-4)
+        assert tail == pytest.approx(prob_normal(mp)[0].value, abs=1e-4)
 
     def test_unknown_law(self):
         with pytest.raises(ValueError):
@@ -386,5 +456,5 @@ class TestSingleScanConsistency:
         fa = FalseAssocSet(indices=(40,), lambdas=(lam,))
         mp = moment_params(fa, CONFIG40)
         exact = exact_probability(fa, config)
-        assert abs(prob_chi2(1, mp) - exact) <= tol
-        assert abs(prob_normal(mp).value - exact) <= tol
+        assert abs(prob_chi2(1, mp)[0] - exact) <= tol
+        assert abs(prob_normal(mp)[0].value - exact) <= tol

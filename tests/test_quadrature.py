@@ -190,3 +190,100 @@ class TestSeedPartition:
         for kwargs in ({}, {"panels": 1}):
             val, err = adaptive_integrate(f, a, b, abs_tol=abs_tol, **kwargs)
             assert (val.hex(), err.hex()) == (value, error)
+
+
+# a family of integrands p x^2 + A exp(-((x - c) / w)^2), one member per column
+FAMILY = {  # name: (a, b, p, A, c, w)
+    "polynomial": (0.0, 1.0, 1.0, 0.0, 0.0, 1.0),      # both rules exact: accepted at once
+    "narrow bump": (0.0, 1.0, 0.0, 1.0, 0.3, 0.01),    # bisects deeply
+    "wide bump": (-12.0, 12.0, 0.5, 1.0, 0.0, 1.5),
+    "far bump": (-50.0, 50.0, 0.0, 1.0, 3.0, 0.5),     # missed from one panel, found from 20
+}
+
+
+def family_member(name):
+    _, _, p, A, c, w = FAMILY[name]
+    return lambda x: p * x**2 + A * np.exp(-((x - c) / w) ** 2)
+
+
+def family_batch():
+    """(f, a, b, calls): the whole family as one batch integrand that records its member rows."""
+    a, b, *params = (np.array(col) for col in zip(*FAMILY.values()))
+    p, A, c, w = (col[:, None] for col in params)
+    calls = []
+
+    def f(x, members):
+        calls.append(members.tolist())
+        return (p[members] * x**2
+                + A[members] * np.exp(-((x - c[members]) / w[members]) ** 2))
+
+    return f, list(a), list(b), calls
+
+
+class TestLockstepBatch:
+    @pytest.mark.parametrize("panels", [1, 20])
+    def test_batch_equals_one_call_per_integrand_bit_for_bit(self, panels):
+        f, a, b, calls = family_batch()
+        batch = adaptive_integrate(f, a, b, abs_tol=1e-12, panels=panels)
+        solo_panels = []
+        for name, found in zip(FAMILY, batch):
+            counted = []
+            g = family_member(name)
+            alone = adaptive_integrate(lambda x: counted.append(1) or g(x), *FAMILY[name][:2],
+                                       abs_tol=1e-12, panels=panels)
+            assert (found[0].hex(), found[1].hex()) == (alone[0].hex(), alone[1].hex()), name
+            solo_panels.append(len(counted) // 2)
+        assert solo_panels[0] == panels                 # the polynomial passes at once
+        assert solo_panels[1] > panels + 10             # the narrow bump bisects
+        # one call per rule per round, over the members still bisecting
+        rounds = max(solo_panels)
+        assert calls == [m for r in range(rounds)
+                         for m in 2 * [[i for i, n in enumerate(solo_panels) if n > r]]]
+
+    def test_one_member_batch_and_empty_batch(self):
+        f, a, b, _ = family_batch()
+        g = family_member("wide bump")
+        assert adaptive_integrate(lambda x, members: f(x, members + 2), a[2:3], b[2:3]) == [
+            adaptive_integrate(g, a[2], b[2])]
+        assert adaptive_integrate(f, [], []) == []
+
+    def test_bad_interval_in_a_batch(self):
+        with pytest.raises(ValueError):
+            adaptive_integrate(lambda x, members: x, [0.0, 1.0], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            adaptive_integrate(lambda x, members: x, [0.0, 1.0], [1.0])
+
+
+def rows_of(*fs):
+    """A batch integrand that evaluates member i with the one-integrand function fs[i]."""
+    return lambda x, members: np.array([fs[m](row) for m, row in zip(members, x)])
+
+
+class TestLockstepFailures:
+    def test_nonfinite_member_raises_its_own_estimate(self):
+        def spoiled(x):
+            # the bump makes the bisection close in on 0.3, where the integrand is nan
+            return np.where(np.abs(x - 0.3) < 1e-3, np.nan, np.exp(-((x - 0.3) / 0.01) ** 2))
+
+        good = family_member("wide bump")
+        with pytest.raises(IntegrationError, match="not finite") as alone:
+            adaptive_integrate(spoiled, 0.0, 1.0)
+        with pytest.raises(IntegrationError, match="not finite") as batch:
+            adaptive_integrate(rows_of(good, spoiled, good), [-12.0, 0.0, -12.0],
+                               [12.0, 1.0, 12.0])
+        np.testing.assert_equal((batch.value.estimate, batch.value.error_bound),
+                                (alone.value.estimate, alone.value.error_bound))
+
+    def test_member_at_max_depth_raises_its_own_estimate(self):
+        def nasty(x):
+            return np.abs(x - math.pi / 10.0) ** -0.5
+
+        easy = family_member("polynomial")
+        with pytest.raises(IntegrationError, match="maximum bisection depth") as alone:
+            adaptive_integrate(nasty, 0.0, 1.0, abs_tol=1e-13, max_depth=6)
+        with pytest.raises(IntegrationError, match="maximum bisection depth") as batch:
+            adaptive_integrate(rows_of(easy, nasty, np.exp), [0.0, 0.0, 0.0], [1.0, 1.0, 1.0],
+                               abs_tol=1e-13, max_depth=6)
+        assert math.isfinite(batch.value.estimate)
+        assert (batch.value.estimate, batch.value.error_bound) == (
+            alone.value.estimate, alone.value.error_bound)

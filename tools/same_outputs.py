@@ -1,14 +1,17 @@
-"""Check that two source trees of trackassoc write byte-identical CSVs.
+"""Check that two source trees of trackassoc write byte-identical CSVs of bit-identical values.
 
 Usage: python tools/same_outputs.py SRC_A SRC_B
 
 Each SRC is a checkout (holding src/trackassoc) or a directory that holds the
 trackassoc package itself. Every CLI experiment of either tree is run at its
-defaults (``python -m trackassoc --experiment NAME``), one subprocess each,
-with that tree first on PYTHONPATH and an empty working directory, and the
-CSVs are compared byte for byte. Prints one line per experiment and exits 0
-when every CSV matches, 1 on any difference, a failed run, or an experiment
-that only one tree has.
+defaults, and ``multi-fa`` also with every column at k=4 and at k=8 (the
+defaults run it at k=2 without ``exponential``). Each run is one subprocess of
+the CLI (``trackassoc.cli.main`` with ``--config run.cfg``) with that tree
+first on PYTHONPATH and an empty working directory. The CSVs are compared byte
+for byte, and every value of the table behind them in full precision, since
+the CSV's 10 digits hide a change in the last bits. Prints one line per run
+and exits 0 when everything matches, 1 on any difference, a failed run, or an
+experiment that only one tree has.
 """
 
 from __future__ import annotations
@@ -19,6 +22,31 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+# Runs beyond the defaults: every compound law, at the decoy counts of the
+# benchmark's multi-decoy (k=4) and analytic (k=8) workloads, with few trials.
+EXTRA_RUNS = tuple({"experiment": "multi-fa", "k": k,
+                    "methods": "exact,chi2,normal,exponential,mc", "trials": 2000}
+                   for k in (4, 8))
+
+# Runs the CLI and also writes every value of the CSV's table as a float hex
+# string, one row per line, to values.hex.
+_RUNNER = """
+import sys
+import trackassoc.cli as cli
+
+write_csv = cli.write_csv
+
+
+def write_csv_and_values(path, header, table):
+    write_csv(path, header, table)
+    with open("values.hex", "w") as fh:
+        fh.writelines(",".join(float(v).hex() for v in row) + "\\n" for row in table)
+
+
+cli.write_csv = write_csv_and_values
+sys.exit(cli.main(sys.argv[1:]))
+"""
 
 
 def package_root(src):
@@ -49,14 +77,24 @@ def experiments(root, cwd):
     return names.split()
 
 
-def csv_bytes(root, experiment, out):
-    """The CSV the tree's CLI writes for the experiment at defaults, or None if the run fails."""
-    proc = _run(root, ["-m", "trackassoc", "--experiment", experiment, "--out", str(out)], out)
-    path = out / f"{experiment}.csv"
+def outputs(root, keys, out):
+    """(CSV bytes, table values in hex) the tree's CLI writes for the config ``keys``.
+
+    None if the run fails.
+    """
+    (out / "run.cfg").write_text("".join(f"{key}={value}\n" for key, value in keys.items()))
+    proc = _run(root, ["-c", _RUNNER, "--config", "run.cfg", "--out", str(out)], out)
+    path = out / f"{keys['experiment']}.csv"
     if proc.returncode or not path.is_file():
-        sys.stderr.write(f"{root}: {experiment} exited {proc.returncode}\n{proc.stderr}")
+        sys.stderr.write(f"{root}: {label(keys)} exited {proc.returncode}\n{proc.stderr}")
         return None
-    return path.read_bytes()
+    return path.read_bytes(), (out / "values.hex").read_text()
+
+
+def label(keys):
+    """The experiment name, followed by any other config keys of the run."""
+    return " ".join([keys["experiment"]] + [f"{key}={value}" for key, value in keys.items()
+                                            if key != "experiment"])
 
 
 def main(argv=None) -> int:
@@ -70,21 +108,27 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         names = [experiments(root, tmp) for root in roots]
         every = list(dict.fromkeys(names[0] + names[1]))
-        for name in every:
-            if not all(name in n for n in names):
-                print(f"{name}: only in one tree")
+        runs = [{"experiment": name} for name in every] + [
+            keys for keys in EXTRA_RUNS if keys["experiment"] in every]
+        for index, keys in enumerate(runs):
+            if not all(keys["experiment"] in n for n in names):
+                print(f"{label(keys)}: only in one tree")
                 differ += 1
                 continue
-            outputs = []
+            found = []
             for side, root in zip("ab", roots):
-                out = tmp / side / name
+                out = tmp / side / str(index)
                 out.mkdir(parents=True)
-                outputs.append(csv_bytes(root, name, out))
-            same = outputs[0] is not None and outputs[0] == outputs[1]
-            print(f"{name}: {'identical' if same else 'DIFFERENT'}"
-                  f" ({len(outputs[0] or b'')} / {len(outputs[1] or b'')} bytes)")
+                found.append(outputs(root, keys, out))
+            csvs = [f[0] if f else b"" for f in found]
+            same = None not in found and found[0] == found[1]
+            last_bits = None not in found and csvs[0] == csvs[1]
+            verdict = ("identical" if same
+                       else "DIFFERENT in the last bits only (CSV bytes identical)" if last_bits
+                       else "DIFFERENT")
+            print(f"{label(keys)}: {verdict} ({len(csvs[0])} / {len(csvs[1])} bytes)")
             differ += not same
-    print(f"{differ} of {len(every)} experiments differ")
+    print(f"{differ} of {len(runs)} runs differ")
     return 1 if differ else 0
 
 
