@@ -90,13 +90,18 @@ def build_design(config: ScanConfig) -> np.ndarray:
 def build_projector(config: ScanConfig) -> RegressionGeometry:
     """Design matrix and dense residual projector for the config's epoch grid.
 
-    Each call builds fresh arrays, so a caller may write into them.
+    Each call builds fresh arrays, so a caller may write into them. The hat
+    matrix H is turned into M = I - H in place, so the build holds one
+    2 epochs x 2 epochs array: 0 - H (not -H, which would give -0 where H has
+    an exact zero) and then + 1 on the diagonal, bit for bit I - H.
     """
     X = build_design(config)
     xtx = X.T @ X
     if np.linalg.cond(xtx) > 1e12:
         raise GeometryError("degenerate geometry")
-    projector = np.eye(X.shape[0]) - X @ np.linalg.solve(xtx, X.T)
+    projector = X @ np.linalg.solve(xtx, X.T)
+    np.subtract(0.0, projector, out=projector)
+    projector.flat[::projector.shape[0] + 1] += 1.0
     return RegressionGeometry(design=X, projector=projector)
 
 

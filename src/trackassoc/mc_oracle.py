@@ -361,28 +361,28 @@ def simulate_multi_fa(*plans: TrialPlan) -> list[McEstimate]:
 def sample_moments(plan: TrialPlan) -> MomentSample:
     """Empirical moments of (m1, v1) over the plan's noise stream.
 
-    m1 and v1 are evaluated from the dense projector blocks, keeping the oracle
-    independent of the closed-form sums it validates. The stream is the one
-    ``simulate_multi_fa`` reads for the same plan.
+    m1 and v1 are evaluated from the decoy rows of the dense projector M,
+    keeping the oracle independent of the closed-form sums it validates: with
+    R = M at the decoys' x rows, A = R at their columns and
+    Phi_S = M S M = (R keep) R', where keep zeroes the decoy coordinates (M is
+    symmetric). The stream is the one ``simulate_multi_fa`` reads for the
+    same plan.
     """
     stream, idx, offsets = _decoys(plan, multi=True)
-    projector = build_projector(plan.config).projector
-    epochs = plan.config.epochs
+    (rows, block, a_blocks), = _kernels(plan.config, [idx])
+    k = len(idx)
     lam = offsets[0]
 
-    sel = np.eye(2 * epochs)
-    for l in idx:
-        sel[2 * l, 2 * l] = 0.0
-        sel[2 * l + 1, 2 * l + 1] = 0.0
-    phi = projector @ sel @ projector
-    a_blocks = np.array([[projector[2 * la, 2 * lb] for lb in idx] for la in idx])
-    th_blocks = np.array([[phi[2 * la, 2 * lb] for lb in idx] for la in idx])
+    x_rows = block[:k]
+    keep = np.ones(x_rows.shape[1])
+    keep[rows] = 0.0
+    th_blocks = (x_rows * keep) @ x_rows.T
 
     m1_parts = []
     v1_parts = []
     for _, noise, _ in _seed_pass(plan.seed, [stream]):
-        ex = np.stack([noise[:, 2 * l] for l in idx], axis=1)
-        ey = np.stack([noise[:, 2 * l + 1] for l in idx], axis=1)
+        e = noise[:, rows]
+        ex, ey = e[:, :k], e[:, k:]
         m1 = (np.einsum("ti,ij,tj->t", ex, a_blocks, ex)
               + np.einsum("ti,ij,tj->t", ey, a_blocks, ey) - lam @ a_blocks @ lam)
         u = ey + lam[None, :]

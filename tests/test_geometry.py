@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,25 @@ class TestProjector:
         # 22 rows minus the 4 fitted parameters
         m = build_projector(ScanConfig(n_scans=10)).projector
         assert np.trace(m) == pytest.approx(18.0, abs=1e-10)
+
+    def test_bit_for_bit_identity_minus_hat(self):
+        # compared as integers, so a -0 where I - H has +0 fails
+        for n in range(5, 201):
+            x = build_design(ScanConfig(n_scans=n))
+            expected = np.eye(x.shape[0]) - x @ np.linalg.solve(x.T @ x, x.T)
+            m = build_projector(ScanConfig(n_scans=n)).projector
+            assert np.array_equal(m.view(np.uint64), expected.view(np.uint64)), n
+
+    def test_build_holds_one_projector_sized_array(self):
+        config = ScanConfig(n_scans=200)
+        build_projector(config)          # numpy's and LAPACK's lazy set-up is not counted
+        tracemalloc.start()
+        try:
+            build_projector(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * (2 * config.epochs) ** 2 * 8
 
 
 class TestDiagCoeffs:

@@ -5,13 +5,14 @@ Usage: python tools/same_outputs.py SRC_A SRC_B
 Each SRC is a checkout (holding src/trackassoc) or a directory that holds the
 trackassoc package itself. Every CLI experiment of either tree is run at its
 defaults, and ``multi-fa`` also with every column at k=4 and at k=8 (the
-defaults run it at k=2 without ``exponential``). Each run is one subprocess of
-the CLI (``trackassoc.cli.main`` with ``--config run.cfg``) with that tree
-first on PYTHONPATH and an empty working directory. The CSVs are compared byte
-for byte, and every value of the table behind them in full precision, since
-the CSV's 10 digits hide a change in the last bits. Prints one line per run
-and exits 0 when everything matches, 1 on any difference, a failed run, or an
-experiment that only one tree has.
+defaults run it at k=2 without ``exponential``), and ``sweep-n`` also from
+N=20 to N=200 in steps of 20 (the defaults stop at N=80). Each run is one
+subprocess of the CLI (``trackassoc.cli.main`` with ``--config run.cfg``) with
+that tree first on PYTHONPATH and an empty working directory. The CSVs are
+compared byte for byte, and every value of the table behind them in full
+precision, since the CSV's 10 digits hide a change in the last bits. Prints one
+line per run and exits 0 when everything matches, 1 on any difference, a
+failed run, or an experiment that only one tree has.
 """
 
 from __future__ import annotations
@@ -24,10 +25,13 @@ import tempfile
 from pathlib import Path
 
 # Runs beyond the defaults: every compound law, at the decoy counts of the
-# benchmark's multi-decoy (k=4) and analytic (k=8) workloads, with few trials.
+# benchmark's multi-decoy (k=4) and analytic (k=8) workloads, and the scan
+# counts of its n-sweep up to the CLI's cap N=200 (the defaults stop at N=80),
+# each with few trials.
 EXTRA_RUNS = tuple({"experiment": "multi-fa", "k": k,
                     "methods": "exact,chi2,normal,exponential,mc", "trials": 2000}
-                   for k in (4, 8))
+                   for k in (4, 8)) + (
+    {"experiment": "sweep-n", "n_min": 20, "n_max": 200, "n_step": 20, "trials": 2000},)
 
 # Runs the CLI and also writes every value of the CSV's table as a float hex
 # string, one row per line, to values.hex.
