@@ -21,6 +21,6 @@ from .dtmc import (AssocDTMC, ChainMatrices, build_chains, chain_power,
                    reach_probability, stationary)
 from .mc_oracle import (McEstimate, MomentSample, TrialPlan, sample_moments, simulate_dtmc,
                         simulate_multi_fa, simulate_single_fa)
-from .quadrature import IntegrationError, adaptive_integrate, gauss_hermite, normal_upper_tail
+from .quadrature import IntegrationError, adaptive_integrate, normal_upper_tail
 
 __version__ = "0.1.0"

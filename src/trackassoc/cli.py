@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -273,6 +272,8 @@ def _experiment_rows(spec: ExperimentSpec):
     xs = experiment.grid(spec)
     row_fn = partial(experiment.row, spec, approx)
     if spec.jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor  # here, so jobs=1 never loads it
+
         with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
             rows, plans = zip(*pool.map(row_fn, xs))
     else:

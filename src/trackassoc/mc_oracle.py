@@ -17,11 +17,15 @@ Normals: words 2i and 2i+1 give uniforms u1, u2 in (0, 1] (the top 53 bits m,
 as (m + 1/2) 2^-53 rounded to double: on [0.5, 1) that rounds to an even
 multiple of 2^-53, and m = 2^53 - 1 gives exactly 1, so r = 0 there), and
 z[2i], z[2i+1] = r cos(2 pi u2), r sin(2 pi u2) with r = sqrt(-2 ln u1).
-The cosine and sine come straight from u2, never from the rounded product
-2 pi u2: v = 4 u2 is exact, q = rint(v), x = (v - q) pi/2 with |x| <= pi/4,
-two fixed polynomials in x^2 (Cephes sin.c) give sin x and cos x, and the
-quadrant q mod 4 rotates them. The work runs in blocks of a few thousand
-pairs on reused buffers, which changes no value. Each normal lies within
+The uniforms are drawn straight into the pass's buffer of normals by
+Generator.random, which gives m 2^-53 exactly, and 2^-54 is added (one
+rounding, that of (m + 1/2) 2^-53). The cosine and sine come straight from
+u2, never from the rounded product 2 pi u2: v = 4 u2 is exact, q = rint(v),
+x = (v - q) pi/2 with |x| <= pi/4, two fixed polynomials in x^2 (Cephes
+sin.c) give sin x and cos x, and the quadrant q mod 4 rotates them. Each
+pair's normals overwrite its uniforms in place. The work runs in blocks of a
+few thousand pairs, which changes no value, on work arrays allocated once per
+pass, so a pass allocates its window memory once. Each normal lies within
 4 eps max(1, |z|) of a long-double evaluation of the same formula from the
 same u1, u2 (about 2.1 eps measured); np.cos and np.sin of 2 pi u2 erred by
 up to 13.5 eps (FINDINGS.md item 20).
@@ -54,9 +58,9 @@ from .single_fa import RandomLambda
 # epoch count grows, so a window's memory does not grow with N.
 _CHUNK_WORDS = 1 << 16
 
-# Box-Muller pairs per block: the block's work arrays (eleven of 8192 doubles,
-# 704 KiB) stay in a typical L2 cache, and numpy's per-call cost is spread over
-# enough pairs.
+# Box-Muller pairs per block: the block's work arrays (nine of 8192 doubles,
+# 576 KiB, allocated once per pass) stay in a typical L2 cache, and numpy's
+# per-call cost is spread over enough pairs.
 _PAIRS_PER_BLOCK = 8192
 
 # sin x = x + x^3 S(x^2) and cos x = 1 - x^2/2 + x^4 C(x^2) on |x| <= pi/4:
@@ -113,12 +117,22 @@ class MomentSample:
     v1_var_se: float
 
 
-def _philox_words(seed, tag, word_offset, n_words):
+def _draw_uniforms(seed, tag, word_offset, out):
+    """Uniforms in (0, 1] from (seed, tag)'s words from word_offset on, one per entry of out.
+
+    Word w gives (m + 1/2) 2^-53, m = w >> 11 its top 53 bits: Generator.random
+    writes m 2^-53 (exact) and adding 2^-54 rounds the sum once. On [0.5, 1)
+    that is an even multiple of 2^-53 (so m = 2^52 + 1 and 2^52 + 2 give the
+    same u), and m = 2^53 - 1 (words from 2^64 - 2^11 up) gives exactly 1. The
+    least is 2^-54, at m = 0. Returns out.
+    """
     if word_offset % 4:
         raise ValueError("word offsets must be multiples of 4")
-    gen = np.random.Philox(key=[np.uint64(seed), np.uint64(tag)],
-                           counter=[word_offset // 4, 0, 0, 0])
-    return gen.random_raw(n_words)
+    bits = np.random.Philox(key=[np.uint64(seed), np.uint64(tag)],
+                            counter=[word_offset // 4, 0, 0, 0])
+    np.random.Generator(bits).random(out=out)
+    out += 2.0**-54
+    return out
 
 
 def _whole_blocks(n_words):
@@ -126,28 +140,21 @@ def _whole_blocks(n_words):
     return ((n_words + 3) // 4) * 4
 
 
-def _uniforms(words):
-    """Uniforms in (0, 1] from the top 53 bits m of each word: (m + 1/2) 2^-53.
+def _box_muller_work(pairs):
+    """Work arrays for ``_normals_in_place`` on up to ``pairs`` pairs at a time."""
+    return np.empty((9, min(pairs, _PAIRS_PER_BLOCK)))
 
-    The sum rounds to double: on [0.5, 1) to an even multiple of 2^-53 (so
-    m = 2^52 + 1 and 2^52 + 2 give the same u), and m = 2^53 - 1 (words from
-    2^64 - 2^11 up) gives exactly 1. The least is 2^-54, at m = 0.
+
+def _normals_in_place(z, work):
+    """Box-Muller normals in place of the uniforms u1, u2 at z[2i], z[2i+1].
+
+    See the module docstring. work comes from ``_box_muller_work`` and serves
+    every block.
     """
-    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-
-
-def _words_to_normals(words, out=None):
-    """Box-Muller normals, one per word (see the module docstring), into out if given."""
-    pairs = words.shape[0] // 2
-    z = np.empty(2 * pairs) if out is None else out
-    block = min(pairs, _PAIRS_PER_BLOCK)
-    work = np.empty((9, block))
-    u = np.empty(2 * block)
+    pairs = z.shape[0] // 2
     for lo in range(0, pairs, _PAIRS_PER_BLOCK):
         hi = min(pairs, lo + _PAIRS_PER_BLOCK)
-        _box_muller(words[2 * lo:2 * hi], z[2 * lo:2 * hi], work[:, :hi - lo],
-                    u[:2 * (hi - lo)])
-    return z
+        _box_muller(z[2 * lo:2 * hi], work[:, :hi - lo])
 
 
 def _horner(y, coefs, out):
@@ -158,20 +165,17 @@ def _horner(y, coefs, out):
         out += c
 
 
-def _box_muller(words, z, work, u):
-    """z[2i], z[2i+1] = r cos(2 pi u2), r sin(2 pi u2) from words 2i, 2i+1.
+def _box_muller(z, work):
+    """z[2i], z[2i+1] = r cos(2 pi u2), r sin(2 pi u2), in place of u1 = z[2i], u2 = z[2i+1].
 
-    u holds one double per word: the block's top 53 bits m of every word, plus
-    1/2, in one contiguous pass; u1 and u2 are its even and odd entries.
+    Both uniforms are read into work before either normal is written.
     """
     r, x, q, y, p, cos, sin, a, b = work
-    np.right_shift(words, 11, out=u, casting="unsafe")
-    u += 0.5                          # m + 1/2, rounded as _uniforms rounds it
-    np.multiply(u[0::2], 2.0**-53, out=r)   # u1, as _uniforms gives it
+    np.copyto(r, z[0::2])             # u1; the log runs on a contiguous array
     np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
-    np.multiply(u[1::2], 2.0**-51, out=x)   # v = 4 u2, exact
+    np.multiply(z[1::2], 4.0, out=x)  # v = 4 u2, exact
     np.rint(x, out=q)
     x -= q                            # exact, |v - q| <= 1/2
     x *= np.pi / 2                    # 2 pi u2 = q pi/2 + x, |x| <= pi/4
@@ -207,7 +211,8 @@ def _seed_pass(seed, streams):
     """Yield (stream, noise, z) for the streams of one seed, a window at a time.
 
     The words up to the longest stream's end are drawn and turned into normals
-    once, window by window, into one reused buffer. Each stream then gets the
+    once, window by window, in place in one buffer, with Box-Muller work arrays
+    that also live for the whole pass. Each stream then gets the
     whole trials of it that the buffer holds: noise (trials x 2 epochs, a
     view of the buffer whose row stride is the trial width: read it, do not
     write it) and, for a random offset, z (the normal after the noise), else
@@ -221,11 +226,12 @@ def _seed_pass(seed, streams):
     widest = max(widths.values())
     window = max(1, _CHUNK_WORDS // widest) * widest
     normals = np.empty(window + widest)
+    work = _box_muller_work(min(window, end) // 2)
     start = dict.fromkeys(widths, 0)       # first word of each stream's next trial
     kept = 0                               # normals carried over at the buffer's front
     for lo in range(0, end, window):
         hi = min(end, lo + window)
-        _words_to_normals(_philox_words(seed, 0, lo, hi - lo), normals[kept:kept + hi - lo])
+        _normals_in_place(_draw_uniforms(seed, 0, lo, normals[kept:kept + hi - lo]), work)
         base = lo - kept                   # the word that normals[0] came from
         for stream, width in widths.items():
             _, epochs, with_lambda = stream
@@ -437,7 +443,7 @@ class DtmcSimStats:
 
 
 def _decision_bits(seed, tag, offset, count, p):
-    return _uniforms(_philox_words(seed, tag, offset, _whole_blocks(count))[:count]) < p
+    return _draw_uniforms(seed, tag, offset, np.empty(count)) < p
 
 
 def simulate_dtmc(p_fa: float, steps: int, runs: int, seed: int) -> DtmcSimStats:

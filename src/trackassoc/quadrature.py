@@ -1,4 +1,4 @@
-"""Shared numerical kernel: Gaussian tail, Gauss-Hermite nodes, adaptive 1-D quadrature.
+"""Shared numerical kernel: Gaussian tail and adaptive 1-D quadrature.
 
 Every tail probability in this package goes through ``normal_upper_tail`` so there
 is exactly one place where the convention lives: it is the upper-tail mass of the
@@ -20,9 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-MAX_GAUSS_HERMITE_ORDER = 200
-
 
 class IntegrationError(RuntimeError):
     """Raised when quadrature cannot reach the requested tolerance.
@@ -113,24 +110,27 @@ def _upper_tail(x):
     return 0.5 * (2.0 - y) if a < 0.0 else 0.5 * y
 
 
-def gauss_hermite(order):
-    """Nodes and weights for expectations against the standard normal.
-
-    Probabilists' normalization: sum(w) == 1 and sum(w * f(x)) approximates
-    E[f(Z)], Z ~ N(0,1), exactly for polynomials of degree < 2*order.
-    """
-    if not 1 <= order <= MAX_GAUSS_HERMITE_ORDER:
-        raise ValueError(f"unsupported Gauss-Hermite order {order}")
-    nodes, weights = np.polynomial.hermite_e.hermegauss(order)
-    return nodes, weights / np.sqrt(2.0 * np.pi)
-
-
 # Embedded Gauss-Legendre pair reused by every bisection: the 15-point value is
 # the estimate, the 7-point value only feeds the error estimate. A panel's nodes
 # for both rules come from one product and one sum over their 22 abscissae, two
 # array operations fewer per panel than a pair per rule, and are then split.
-_X7, _W7 = np.polynomial.legendre.leggauss(7)
-_X15, _W15 = np.polynomial.legendre.leggauss(15)
+# The tables are np.polynomial.legendre.leggauss(7) and (15) written out, bit for
+# bit (the tests compare them), so the package never imports numpy.polynomial.
+_X7 = np.array([-0.9491079123427586, -0.7415311855993945, -0.4058451513773972, 0.0,
+                0.4058451513773972, 0.7415311855993945, 0.9491079123427586])
+_W7 = np.array([0.12948496616886973, 0.27970539148927687, 0.3818300505051187,
+                0.4179591836734693, 0.3818300505051187, 0.27970539148927687,
+                0.12948496616886973])
+_X15 = np.array([-0.9879925180204854, -0.9372733924007058, -0.8482065834104272,
+                 -0.7244177313601701, -0.5709721726085388, -0.3941513470775634,
+                 -0.20119409399743451, 0.0, 0.20119409399743451, 0.3941513470775634,
+                 0.5709721726085388, 0.7244177313601701, 0.8482065834104272,
+                 0.9372733924007058, 0.9879925180204854])
+_W15 = np.array([0.030753241996117203, 0.0703660474881084, 0.10715922046717141,
+                 0.13957067792615444, 0.16626920581699398, 0.1861610000155622,
+                 0.1984314853271116, 0.2025782419255613, 0.1984314853271116,
+                 0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+                 0.10715922046717141, 0.0703660474881084, 0.030753241996117203])
 _X = np.concatenate([_X7, _X15])
 
 

@@ -1,0 +1,62 @@
+"""Numerical helpers that only the tests use: Gauss-Hermite rules and raw Philox words.
+
+The package's Monte Carlo pass draws uniforms straight from a Philox stream
+(``mc_oracle._draw_uniforms``). The tests reach the words behind them here, to
+feed the Box-Muller transform edge words that no seed draws on demand.
+"""
+
+import numpy as np
+
+import trackassoc.mc_oracle as mc
+
+MAX_GAUSS_HERMITE_ORDER = 200
+
+
+def gauss_hermite(order):
+    """Nodes and weights for expectations against the standard normal.
+
+    Probabilists' normalization: sum(w) == 1 and sum(w * f(x)) approximates
+    E[f(Z)], Z ~ N(0,1), exactly for polynomials of degree < 2*order.
+    """
+    if not 1 <= order <= MAX_GAUSS_HERMITE_ORDER:
+        raise ValueError(f"unsupported Gauss-Hermite order {order}")
+    nodes, weights = np.polynomial.hermite_e.hermegauss(order)
+    return nodes, weights / np.sqrt(2.0 * np.pi)
+
+
+def philox_words(seed, tag, word_offset, n_words):
+    """Words [word_offset, word_offset + n_words) of the Philox stream (seed, tag)."""
+    gen = np.random.Philox(key=[np.uint64(seed), np.uint64(tag)],
+                           counter=[word_offset // 4, 0, 0, 0])
+    return gen.random_raw(n_words)
+
+
+def uniforms(words):
+    """The uniform each word gives, by the arithmetic of ``mc._draw_uniforms``.
+
+    Generator.random turns a word w into m 2^-53 with m = w >> 11, exactly, and
+    the draw adds 2^-54: one rounding of (m + 1/2) 2^-53.
+    """
+    u = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    u += 2.0**-54
+    return u
+
+
+def words_to_normals(words):
+    """Box-Muller normals of raw words, one per word, by the pass's in-place transform."""
+    z = uniforms(words)
+    mc._normals_in_place(z, mc._box_muller_work(z.shape[0] // 2))
+    return z
+
+
+def spy_draws(monkeypatch):
+    """Record (seed, tag, word offset, words drawn) for every draw of the oracle."""
+    calls = []
+    draw = mc._draw_uniforms
+
+    def spy(seed, tag, word_offset, out):
+        calls.append((seed, tag, word_offset, out.shape[0]))
+        return draw(seed, tag, word_offset, out)
+
+    monkeypatch.setattr(mc, "_draw_uniforms", spy)
+    return calls

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from trackassoc.cli import (EXPERIMENTS, ConfigError, default_spec, main, parse_config, run,
                             write_csv, write_svg)
 
+from numeric_helpers import spy_draws
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -144,11 +146,7 @@ class TestSweepLambda:
     def test_grid_draws_its_noise_once(self, tmp_path, monkeypatch):
         # every lambda point reads the same stream, so the 31-point grid draws
         # the chunks of a one-point grid
-        import trackassoc.mc_oracle as mc
-
-        calls = []
-        words = mc._philox_words
-        monkeypatch.setattr(mc, "_philox_words", lambda *a: calls.append(a) or words(*a))
+        calls = spy_draws(monkeypatch)
         cfg = tmp_path / "run.cfg"
         chunks = []
         for grid in ("", "lambda_min=2.0\nlambda_max=2.0\n"):

@@ -9,17 +9,33 @@ import sys
 import tomllib
 from pathlib import Path
 
+import pytest
+
 import trackassoc
 from trackassoc.cli import EXPERIMENTS
 
 SRC = Path(trackassoc.__file__).resolve().parent
 ROOT = SRC.parent.parent
 
+# modules the package once loaded only to build constants or a thread pool that
+# a run with jobs=1 never uses
+UNUSED = ("numpy.polynomial", "concurrent.futures")
+
 # one grid point of every experiment, every method it computes
 RUN_EVERY_EXPERIMENT = """
 import json, sys, tempfile
 from pathlib import Path
+
+UNUSED = %r
+
+
+def loaded():
+    return sorted(m for m in sys.modules if any(m == u or m.startswith(u + ".") for u in UNUSED))
+
+
+import trackassoc
 from trackassoc.cli import EXPERIMENTS, main
+at_import = loaded()
 
 keys = {"n_scans": 8, "n_min": 8, "n_max": 8, "lambda_min": 2.0, "lambda_max": 2.0,
         "lambda_fixed": 2.0, "p_fa": 0.1, "k": 3, "trials": 64, "steps": 5}
@@ -32,8 +48,9 @@ with tempfile.TemporaryDirectory() as out:
         codes[name] = (main(["--config", str(cfg), "--out", out]),
                        (Path(out) / f"{name}.csv").exists())
 print(json.dumps({"codes": codes,
-                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
-"""
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "unused": {"import": at_import, "run": loaded()}}))
+""" % (UNUSED,)
 
 
 def _requirement_name(spec):
@@ -50,14 +67,24 @@ def _imported_top_levels(path):
     return names
 
 
-def test_every_experiment_runs_without_loading_scipy():
+@pytest.fixture(scope="module")
+def report():
+    """What a fresh process that runs every experiment once (jobs=1) loaded."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     proc = subprocess.run([sys.executable, "-c", RUN_EVERY_EXPERIMENT], capture_output=True,
                           text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_every_experiment_runs_without_loading_scipy(report):
     assert report["codes"] == {name: [0, True] for name in EXPERIMENTS}
     assert report["scipy"] == []
+
+
+def test_neither_import_nor_a_run_loads_numpy_polynomial_or_a_thread_pool(report):
+    assert report["codes"] == {name: [0, True] for name in EXPERIMENTS}
+    assert report["unused"] == {"import": [], "run": []}
 
 
 def test_every_third_party_import_is_a_declared_dependency():

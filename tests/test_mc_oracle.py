@@ -8,6 +8,8 @@ from trackassoc.mc_oracle import (TrialPlan, sample_moments, simulate_conditiona
 from trackassoc.multi_fa import FalseAssocSet
 from trackassoc.single_fa import RandomLambda, exact_probability
 
+from numeric_helpers import philox_words, spy_draws, uniforms, words_to_normals
+
 CONFIG = ScanConfig(n_scans=20, lam=2.0)
 
 
@@ -60,9 +62,7 @@ class TestBoxMuller:
     def words():
         # 2^21 random words, then pairs whose second word is 0, 2^64 - 1, or
         # gives u2 = k/4 +- a few 2^-53 steps, where the quadrant changes
-        import trackassoc.mc_oracle as mc
-
-        rand = mc._philox_words(11, 0, 0, 1 << 21)
+        rand = philox_words(11, 0, 0, 1 << 21)
         top = np.array([k * 2**51 + j for k in range(5) for j in range(-4, 4)
                         if 0 <= k * 2**51 + j < 2**53], dtype=np.uint64)
         edges = np.concatenate([top << np.uint64(11),
@@ -76,9 +76,7 @@ class TestBoxMuller:
     @staticmethod
     def libm_normals(words):
         # the former route: np.cos and np.sin of the rounded product 2 pi u2
-        import trackassoc.mc_oracle as mc
-
-        u = mc._uniforms(words)
+        u = uniforms(words)
         r = np.sqrt(-2.0 * np.log(u[0::2]))
         z = np.empty(words.shape[0])
         z[0::2] = r * np.cos(2.0 * np.pi * u[1::2])
@@ -86,11 +84,9 @@ class TestBoxMuller:
         return z
 
     def test_within_four_eps_of_long_double(self):
-        import trackassoc.mc_oracle as mc
-
         words = self.words()
-        z = mc._words_to_normals(words)
-        u = mc._uniforms(words).astype(np.longdouble)
+        z = words_to_normals(words)
+        u = uniforms(words).astype(np.longdouble)
         two_pi = 8 * np.arctan(np.longdouble(1))
         r = np.sqrt(-2 * np.log(u[0::2]))
         ref = np.empty(words.shape[0], dtype=np.longdouble)
@@ -100,26 +96,39 @@ class TestBoxMuller:
         assert np.all(err <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(z)))
 
     def test_within_1e_14_of_libm(self):
-        import trackassoc.mc_oracle as mc
-
         words = self.words()
-        assert np.abs(mc._words_to_normals(words) - self.libm_normals(words)).max() <= 1e-14
+        assert np.abs(words_to_normals(words) - self.libm_normals(words)).max() <= 1e-14
 
     def test_uniforms_lie_in_zero_one_closed(self):
         # (m + 1/2) 2^-53 rounds to double: the least u is 2^-54, the top 2^11
         # words give exactly 1, and on [0.5, 1) the last bit rounds to even
-        import trackassoc.mc_oracle as mc
-
         top = np.array([0, 2**53 - 1, 2**52 + 1, 2**52 + 2], dtype=np.uint64) << np.uint64(11)
-        u = mc._uniforms(np.concatenate([top, np.array([2**64 - 1], dtype=np.uint64)]))
+        u = uniforms(np.concatenate([top, np.array([2**64 - 1], dtype=np.uint64)]))
         assert u[0] == 2.0**-54
         assert u[1] == u[4] == 1.0
         assert u[2] == u[3]
         # u1 = 1 gives r = 0: both normals of the pair are 0, whatever u2 is
         pairs = np.array([2**64 - 1, 0, 2**64 - 2**11, 2**64 - 1, 2**64 - 1, 2**63],
                          dtype=np.uint64)
-        z = mc._words_to_normals(pairs)
+        z = words_to_normals(pairs)
         assert np.all(np.isfinite(z)) and np.all(z == 0.0)
+
+    @pytest.mark.parametrize("seed,tag,offset,n", [(7, 0, 0, 1 << 16), (7, 3, 1024, 4099),
+                                                   (2**64 - 1, 1000, 4, 1)])
+    def test_draws_are_the_uniforms_of_their_words(self, seed, tag, offset, n):
+        # Generator.random writes m 2^-53 and the draw adds 2^-54: one rounding
+        # of (m + 1/2) 2^-53, the double the former m + 1/2, times 2^-53, gave
+        import trackassoc.mc_oracle as mc
+
+        words = philox_words(seed, tag, offset, n)
+        former = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        drawn = mc._draw_uniforms(seed, tag, offset, np.empty(n))
+        np.testing.assert_array_equal(drawn.view(np.uint64), former.view(np.uint64))
+        edges = np.array([0, 2**11 - 1, 2**63, 2**63 + 2**11, 2**63 + 2**12, 2**64 - 2**11,
+                          2**64 - 1], dtype=np.uint64)
+        both = np.concatenate([words, edges])
+        former = ((both >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        np.testing.assert_array_equal(uniforms(both).view(np.uint64), former.view(np.uint64))
 
     @staticmethod
     def strided_normals(words):
@@ -164,25 +173,25 @@ class TestBoxMuller:
         import trackassoc.mc_oracle as mc
 
         edges = np.array([0, 2**64 - 1, 2**64 - 2**11], dtype=np.uint64)
-        words = np.concatenate([mc._philox_words(17, 0, 0, 1 << 17),
+        words = np.concatenate([philox_words(17, 0, 0, 1 << 17),
                                 np.stack(np.meshgrid(edges, edges)).reshape(2, -1).T.ravel()])
         assert (words.shape[0] // 2) % pairs
         monkeypatch.setattr(mc, "_PAIRS_PER_BLOCK", pairs)
-        np.testing.assert_array_equal(mc._words_to_normals(words), self.strided_normals(words))
+        np.testing.assert_array_equal(words_to_normals(words), self.strided_normals(words))
 
     def test_blocks_change_nothing(self, monkeypatch):
         import trackassoc.mc_oracle as mc
 
         block = 2 * mc._PAIRS_PER_BLOCK  # words
-        words = mc._philox_words(5, 0, 0, 3 * block + 12)
-        ref = mc._words_to_normals(words)
+        words = philox_words(5, 0, 0, 3 * block + 12)
+        ref = words_to_normals(words)
         for split in (2, block // 2, block, block + 2, 3 * block):
             np.testing.assert_array_equal(
-                np.concatenate([mc._words_to_normals(words[:split]),
-                                mc._words_to_normals(words[split:])]), ref)
+                np.concatenate([words_to_normals(words[:split]),
+                                words_to_normals(words[split:])]), ref)
         for pairs in (1, 3, 7):
             monkeypatch.setattr(mc, "_PAIRS_PER_BLOCK", pairs)
-            np.testing.assert_array_equal(mc._words_to_normals(words[:1000]), ref[:1000])
+            np.testing.assert_array_equal(words_to_normals(words[:1000]), ref[:1000])
 
 
 class TestSingleFa:
@@ -261,7 +270,7 @@ class TestMultiFa:
         import trackassoc.mc_oracle as mc
 
         calls = []
-        monkeypatch.setattr(mc, "_philox_words", lambda *a: calls.append(a))
+        monkeypatch.setattr(mc, "_draw_uniforms", lambda *a: calls.append(a))
         plan = TrialPlan(trials=10, seed=1, config=CONFIG, fa=FalseAssocSet((scan,), (1.0,)))
         with pytest.raises(ValueError, match="outside 1..20"):
             sample_moments(plan)
@@ -322,14 +331,36 @@ class TestSharedPass:
     def test_each_stream_drawn_once(self, monkeypatch):
         import trackassoc.mc_oracle as mc
 
-        calls = []
-        words = mc._philox_words
-        monkeypatch.setattr(mc, "_philox_words", lambda *a: calls.append(a) or words(*a))
+        calls = spy_draws(monkeypatch)
         plans = [TrialPlan(trials=3_000, seed=seed, config=ScanConfig(n_scans=20, lam=lam))
                  for seed in (1, 2) for lam in (1.0, 2.0, 3.0)]
         monkeypatch.setattr(mc, "_CHUNK_WORDS", 44 * 1_000)  # 44 words a trial at N=20
         simulate_single_fa(*plans)
         assert len(calls) == 2 * 3
+
+    def test_window_memory_allocated_once_per_pass(self, monkeypatch):
+        # 3,000 trials of 44 words in windows of 1,000 trials: each window's
+        # uniforms are drawn into the pass's one buffer and turned into
+        # normals there, by blocks that all reuse one set of work arrays
+        import trackassoc.mc_oracle as mc
+
+        outs, calls = [], []
+        draw, box_muller = mc._draw_uniforms, mc._box_muller
+        monkeypatch.setattr(mc, "_draw_uniforms", lambda *a: outs.append(a[3]) or draw(*a))
+        monkeypatch.setattr(mc, "_box_muller",
+                            lambda z, work: calls.append((z, work)) or box_muller(z, work))
+        monkeypatch.setattr(mc, "_CHUNK_WORDS", 44 * 1_000)
+        plans = [TrialPlan(trials=3_000, seed=1, config=ScanConfig(n_scans=20, lam=lam))
+                 for lam in (1.0, 2.0)]
+        simulate_single_fa(*plans)
+        assert len(outs) == 3
+        assert len(calls) == 3 * 3          # 22,000 pairs a window, 8,192 a block
+        buffer, work = outs[0].base, calls[0][1].base
+        assert buffer is not None and work is not None
+        for z in outs + [z for z, _ in calls]:
+            assert np.shares_memory(z, buffer) and z.base is buffer
+        for _, w in calls:
+            assert np.shares_memory(w, work) and w.base is work
 
     @staticmethod
     def n_grid(seed, trials=5_000):
@@ -356,11 +387,7 @@ class TestSharedPass:
     def test_each_word_of_a_seed_drawn_once(self, monkeypatch):
         # one pass over the longest stream's words, in rising offsets, however
         # many streams of the seed read them
-        import trackassoc.mc_oracle as mc
-
-        calls = []
-        words = mc._philox_words
-        monkeypatch.setattr(mc, "_philox_words", lambda *a: calls.append(a) or words(*a))
+        calls = spy_draws(monkeypatch)
         plans = [TrialPlan(trials=3_000, seed=8, config=ScanConfig(n_scans=n, lam=2.0))
                  for n in range(20, 101, 20)]
         simulate_single_fa(*plans)
@@ -394,7 +421,7 @@ class TestSharedPass:
         import trackassoc.mc_oracle as mc
 
         calls = []
-        monkeypatch.setattr(mc, "_philox_words", lambda *a: calls.append(a))
+        monkeypatch.setattr(mc, "_draw_uniforms", lambda *a: calls.append(a))
         good = TrialPlan(trials=10, seed=1, config=CONFIG, scan=20,
                          fa=FalseAssocSet((20,), (1.0,)))
         with pytest.raises(ValueError):
@@ -488,7 +515,7 @@ class TestChunkRows:
         import trackassoc.mc_oracle as mc
 
         kernel, = mc._kernels(CONFIG, [list(scans)])
-        noise = mc._words_to_normals(mc._philox_words(3, 0, 0, 3000 * 42)).reshape(3000, 42)
+        noise = words_to_normals(philox_words(3, 0, 0, 3000 * 42)).reshape(3000, 42)
         lam = np.linspace(0.5, 2.0, len(scans))[None, :]
         ref = mc._delta_for_chunk(noise, kernel, lam)
         for rows in (1, 3, 64, 1000):
@@ -508,7 +535,7 @@ class TestChunkRows:
         width = mc._trial_words(config.epochs, False)
         scans = list(range(n - k + 1, n + 1))
         kernel, = mc._kernels(config, [scans])
-        rows = mc._words_to_normals(mc._philox_words(3, 0, 0, 2000 * width)).reshape(2000, width)
+        rows = words_to_normals(philox_words(3, 0, 0, 2000 * width)).reshape(2000, width)
         view = rows[:, :2 * config.epochs]
         assert view.strides[0] == 8 * width
         lam = np.linspace(0.5, 2.0, k)[None, :]
@@ -528,7 +555,7 @@ class TestConditionalSampler:
         import trackassoc.mc_oracle as mc
 
         calls = []
-        monkeypatch.setattr(mc, "_philox_words", lambda *a: calls.append(a))
+        monkeypatch.setattr(mc, "_draw_uniforms", lambda *a: calls.append(a))
         with pytest.raises(ValueError, match="outside 1..20"):
             simulate_conditional((0.5, -0.5), scan, CONFIG, trials=10, seed=2)
         assert calls == []
@@ -542,14 +569,7 @@ class TestConditionalSampler:
 
         plan = TrialPlan(trials=70_000, seed=seed, config=CONFIG, scan=20)
         width = mc._trial_words(plan.config.epochs, False)
-        draws = []
-        philox_words = mc._philox_words
-
-        def counted(*args):
-            draws.append(args)
-            return philox_words(*args)
-
-        monkeypatch.setattr(mc, "_philox_words", counted)
+        draws = spy_draws(monkeypatch)
         ref = simulate_conditional((0.3, -0.4), 20, CONFIG, trials=70_000, seed=seed)
         for words, windows in ((width * 70_000, 1), (width * 997 + width // 2, 71)):
             draws.clear()

@@ -12,9 +12,11 @@ from trackassoc.mc_oracle import TrialPlan, sample_moments, simulate_multi_fa
 from trackassoc.multi_fa import (FalseAssocSet, MomentParams, _chi2_upper_cutoff,
                                  coefficient_matrices, compound_density, exact_probability,
                                  moment_params, prob_chi2, prob_exponential, prob_normal)
-from trackassoc.quadrature import adaptive_integrate, gauss_hermite, normal_upper_tail
+from trackassoc.quadrature import adaptive_integrate, normal_upper_tail
 from trackassoc.single_fa import conditional_law
 from trackassoc.tabulated import exponential_series, v1_variance_appendix, v1_variance_main
+
+from numeric_helpers import gauss_hermite
 
 CONFIG40 = ScanConfig(n_scans=40)
 

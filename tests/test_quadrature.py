@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from trackassoc.quadrature import (IntegrationError, adaptive_integrate, gauss_hermite,
-                                   normal_upper_tail)
+from trackassoc.quadrature import IntegrationError, adaptive_integrate, normal_upper_tail
+
+from numeric_helpers import gauss_hermite
 
 
 def reference_upper_tail(x):
@@ -110,6 +111,20 @@ class TestGaussHermite:
             gauss_hermite(0)
         with pytest.raises(ValueError):
             gauss_hermite(10_000)
+
+
+class TestGaussLegendreTables:
+    @pytest.mark.parametrize("order", (7, 15))
+    def test_literal_tables_are_leggauss_bit_for_bit(self, order):
+        # the package writes the 7- and 15-point rules out so that it never
+        # imports numpy.polynomial; they must be leggauss's doubles
+        from trackassoc import quadrature
+
+        x, w = np.polynomial.legendre.leggauss(order)
+        np.testing.assert_array_equal(getattr(quadrature, f"_X{order}").view(np.uint64),
+                                      x.view(np.uint64))
+        np.testing.assert_array_equal(getattr(quadrature, f"_W{order}").view(np.uint64),
+                                      w.view(np.uint64))
 
 
 class TestAdaptiveIntegrate:

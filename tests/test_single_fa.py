@@ -7,12 +7,14 @@ from scipy.stats import kstest
 
 from trackassoc.geometry import ScanConfig, diag_coeffs, leverage
 from trackassoc.mc_oracle import TrialPlan, simulate_conditional, simulate_single_fa
-from trackassoc.quadrature import gauss_hermite, normal_upper_tail
+from trackassoc.quadrature import normal_upper_tail
 from trackassoc.single_fa import (RandomLambda, closed_form_coefficients,
                                   closed_form_probability, conditional_law, exact_probability,
                                   first_order_probability, fit_gammas, random_lambda_probability)
 from trackassoc.tabulated import (a_integral, b_integral, conditional_box_probability,
                                   eta_coeff, reassembled_probability)
+
+from numeric_helpers import gauss_hermite
 
 APPROX = fit_gammas(10)
 

@@ -10,7 +10,12 @@ workload's specs with ``benchmarks/worker.load_specs``, runs the
 one-point warm-up and then PASSES passes with ``worker.run_pass``, as a timed
 benchmark run does but with no speed sampling. Per pass it prints the minor
 page faults, user and system CPU seconds and wall seconds (from
-``resource.getrusage`` and the pass's own timer), then the process's peak RSS.
+``resource.getrusage`` and the pass's own timer), then the process's peak RSS,
+next to its RSS right after ``import trackassoc.cli`` (read from
+/proc/self/statm, before the benchmark's worker module is imported), so that
+a larger import shows apart from the memory a pass takes. That is the
+resident size at that moment, not the peak so far: the peak includes the
+compiling of the package's sources, which the child does afresh each time.
 Only SRC is read; configs and CSVs go to a temporary directory. Exits 1 if a
 process fails or an experiment of a pass does not exit 0.
 """
@@ -27,13 +32,16 @@ from pathlib import Path
 PASSES = 5
 
 # Runs in the child: argv is (benchmarks dir, workload, seed, output dir, passes);
-# prints one JSON line with the passes' resource use and the peak RSS.
+# prints one JSON line with the passes' resource use, the RSS after importing
+# trackassoc and the peak RSS at the end.
 _CHILD = """
 import json, resource, sys
 from pathlib import Path
 
 sys.path.insert(0, sys.argv[1])
-import trackassoc
+import trackassoc, trackassoc.cli
+with open("/proc/self/statm") as statm:
+    import_rss_mb = int(statm.read().split()[1]) * resource.getpagesize() / 2**20
 from worker import load_specs, run_pass
 
 workload, seed, out = sys.argv[2], int(sys.argv[3]), Path(sys.argv[4])
@@ -49,6 +57,7 @@ for i in range(int(sys.argv[5])):
                    "sys_s": after.ru_stime - before.ru_stime,
                    "wall_s": wall, "codes": codes})
 print(json.dumps({"trackassoc": trackassoc.__file__, "passes": passes,
+                  "import_rss_mb": import_rss_mb,
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
 """
 
@@ -94,7 +103,8 @@ def main(argv=None) -> int:
             failed += 1
             continue
         print(f"{workload} (seed {seed}, {report['trackassoc']}): "
-              f"peak RSS {report['peak_rss_mb']:.2f} MiB")
+              f"peak RSS {report['peak_rss_mb']:.2f} MiB "
+              f"(RSS after import trackassoc {report['import_rss_mb']:.2f} MiB)")
         print("  pass  minor_faults  user_s  sys_s  wall_s")
         for i, p in enumerate(report["passes"]):
             bad = sum(code != 0 for code in p["codes"])
