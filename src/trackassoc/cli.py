@@ -14,7 +14,6 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, fields, replace
-from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -58,6 +57,9 @@ class ExperimentSpec:
     jobs: int = 1
 
 
+MAX_GRID_POINTS = 100_000
+
+
 def _validate(spec: ExperimentSpec) -> ExperimentSpec:
     """Check the bounds the CLI sets; the library's own checks cover the rest."""
     if spec.experiment not in EXPERIMENTS:
@@ -88,8 +90,12 @@ def _validate(spec: ExperimentSpec) -> ExperimentSpec:
         raise ConfigError("bad p_fa grid")
     if spec.steps < 0:
         raise ConfigError("steps must be >= 0")
-    if spec.jobs < 1:
-        raise ConfigError("jobs must be >= 1")
+    for lo, hi, step in ((spec.lambda_min, spec.lambda_max, spec.lambda_step),
+                         (spec.p_fa_min, spec.p_fa_max, spec.p_fa_step)):
+        if (hi - lo) / step >= MAX_GRID_POINTS:  # checked before _grid builds the list
+            raise ConfigError(f"a grid may hold at most {MAX_GRID_POINTS} points")
+    if spec.jobs != 1:
+        raise ConfigError("jobs must be 1 (the key stays so that configs setting it parse)")
     experiment = EXPERIMENTS[spec.experiment]
     methods = spec.methods or experiment.default_methods
     bad = [m for m in methods if m not in experiment.methods]
@@ -159,136 +165,120 @@ def _p_fa_grid(spec):
     return _grid(spec.p_fa_min, spec.p_fa_max, spec.p_fa_step)
 
 
-def _single_row(spec, approx, lam, n_scans, scan):
-    config = ScanConfig(n_scans=n_scans, lam=lam)
-    row = {}
-    if "exact" in spec.methods:
-        row["exact"] = single_fa.exact_probability(scan, config)
-    if "closed-form" in spec.methods:
-        row["closed_form"] = single_fa.closed_form_probability(scan, config, approx).value
-    if "first-order" in spec.methods:
-        row["first_order"] = single_fa.first_order_probability(scan, config, approx).value
-    return row, mc_oracle.TrialPlan(trials=spec.trials, seed=spec.seed, config=config, scan=scan)
+def _lambda_point(spec, lam):
+    config = ScanConfig(n_scans=spec.n_scans, lam=lam)
+    return mc_oracle.TrialPlan(trials=spec.trials, seed=spec.seed, config=config, scan=spec.scan)
 
 
-def _lambda_row(spec, approx, lam):
-    return _single_row(spec, approx, lam, spec.n_scans, spec.scan)
-
-
-def _n_row(spec, approx, n):
-    # an explicit scan below n_scans stays fixed; the default tracks the last scan
+def _n_point(spec, n):
+    # an explicit scan below n_scans stays fixed, clipped to N; the default tracks the last scan
     scan = min(spec.scan, n) if spec.scan < spec.n_scans else n
-    return _single_row(spec, approx, spec.lambda_fixed, n, scan)
+    config = ScanConfig(n_scans=n, lam=spec.lambda_fixed)
+    return mc_oracle.TrialPlan(trials=spec.trials, seed=spec.seed, config=config, scan=scan)
 
 
-def _random_lambda_row(spec, approx, lam0):
-    config = ScanConfig(n_scans=spec.n_scans, lam=lam0)
+def _random_lambda_point(spec, lam0):
     rl = single_fa.RandomLambda(lambda0=lam0, sigma0=spec.sigma0)
-    row = {}
-    if "closed-form" in spec.methods:
-        row["closed_form"] = single_fa.random_lambda_probability(
-            rl, spec.scan, config, approx).value
-    return row, mc_oracle.TrialPlan(trials=spec.trials, seed=spec.seed, config=config,
-                                    scan=spec.scan, random_lambda=rl)
+    return replace(_lambda_point(spec, lam0), random_lambda=rl)
 
 
-def _multi_fa_row(spec, approx, lam):
-    config = ScanConfig(n_scans=spec.n_scans)
+def _multi_fa_point(spec, lam):
     indices = tuple(range(spec.n_scans - spec.k + 1, spec.n_scans + 1))
     fa = multi_fa.FalseAssocSet(indices=indices, lambdas=(lam,) * spec.k)
-    row = {}
-    if "exact" in spec.methods:
-        row["exact"] = multi_fa.exact_probability(fa, config)
-    return row, mc_oracle.TrialPlan(trials=spec.trials, seed=spec.seed, config=config, fa=fa)
+    return mc_oracle.TrialPlan(trials=spec.trials, seed=spec.seed,
+                               config=ScanConfig(n_scans=spec.n_scans), fa=fa)
 
 
-def _compound_columns(spec, plans):
-    """The compound-law columns ``spec`` asks for, as {column: one value per plan}.
+def _method_columns(spec, plans):
+    """{column: one value per plan} for the methods ``spec`` asks for, in CSV order.
 
-    Each law is one call over the decoy sets of the whole grid, which runs all
-    of its integrals in one lockstep quadrature.
+    A plan holds either one decoy scan (with a fixed or a random offset) or a
+    decoy set. Each method is one rule over every plan of the grid: the
+    compound laws are one call per law and the Monte Carlo columns one
+    simulator call, each over the whole grid.
     """
-    if not {"chi2", "normal", "exponential"} & set(spec.methods):
-        return {}
-    mps = [multi_fa.moment_params(plan.fa, plan.config) for plan in plans]
+    methods = set(spec.methods)
+    if methods & {"closed-form", "first-order"}:
+        approx = single_fa.fit_gammas(spec.n_steps, spec.support_k)
     columns = {}
-    if "chi2" in spec.methods:
+    if "exact" in methods:
+        columns["exact"] = [single_fa.exact_probability(p.scan, p.config) if p.fa is None
+                            else multi_fa.exact_probability(p.fa, p.config) for p in plans]
+    if "closed-form" in methods:
+        columns["closed_form"] = [
+            single_fa.closed_form_probability(p.scan, p.config, approx).value
+            if p.random_lambda is None else
+            single_fa.random_lambda_probability(p.random_lambda, p.scan, p.config, approx).value
+            for p in plans]
+    if "first-order" in methods:
+        columns["first_order"] = [single_fa.first_order_probability(p.scan, p.config, approx).value
+                                  for p in plans]
+    if methods & {"chi2", "normal", "exponential"}:
+        mps = [multi_fa.moment_params(p.fa, p.config) for p in plans]
+    if "chi2" in methods:
         columns["chi2"] = multi_fa.prob_chi2(spec.k, *mps)
-    if "normal" in spec.methods:
+    if "normal" in methods:
         columns["normal"] = [res.value for res in multi_fa.prob_normal(*mps)]
-    if "exponential" in spec.methods:
-        columns["exponential"] = multi_fa.prob_exponential(
-            *mps, rates=[1.0 / mp.v0 for mp in mps])
+    if "exponential" in methods:
+        columns["exponential"] = multi_fa.prob_exponential(*mps, rates=[1.0 / mp.v0 for mp in mps])
+    if "mc" in methods:
+        simulate = (mc_oracle.simulate_single_fa if plans[0].fa is None
+                    else mc_oracle.simulate_multi_fa)
+        estimates = simulate(*plans)
+        columns["mc_p"] = [est.p_hat for est in estimates]
+        columns["mc_stderr"] = [est.stderr for est in estimates]
     return columns
 
 
-def _dtmc_row(spec, approx, p):
-    chain = dtmc_mod.AssocDTMC(p_fa=p)
-    reach = dtmc_mod.reach_probability(chain, spec.steps)
+def _dtmc_columns(spec, chains):
+    reaches = [dtmc_mod.reach_probability(c, spec.steps) for c in chains]
     return {
-        "reach_spectral": reach.spectral,
-        "reach_power": reach.value,
-        "reach_expansion": tabulated.reach_expansion(chain, spec.steps),
-        "pi4": float(dtmc_mod.stationary(chain)[3]) if 0 < p < 1 else p * p,
-        "expected_visits": dtmc_mod.expected_transient_visits(
-            chain, (1.0, 0.0, 0.0)) if p > 0 else float("inf"),
-    }, None
+        "reach_spectral": [reach.spectral for reach in reaches],
+        "reach_power": [reach.value for reach in reaches],
+        "reach_expansion": [tabulated.reach_expansion(c, spec.steps) for c in chains],
+        "pi4": [float(dtmc_mod.stationary(c)[3]) if 0 < c.p_fa < 1 else c.p_fa * c.p_fa
+                for c in chains],
+        "expected_visits": [dtmc_mod.expected_transient_visits(c, (1.0, 0.0, 0.0))
+                            if c.p_fa > 0 else float("inf") for c in chains],
+    }
 
 
 class Experiment(NamedTuple):
     x_header: str
     grid: Callable        # spec -> x values
-    row: Callable         # (spec, approx, x) -> ({column: value} in CSV order, TrialPlan)
-    methods: tuple        # every method the row function computes, in column order
+    point: Callable       # (spec, x) -> the point's TrialPlan (an AssocDTMC for dtmc)
+    columns: Callable     # (spec, points) -> {column: one value per point} in CSV order
+    methods: tuple        # every method the experiment computes, in column order
     default_methods: tuple
 
 
 _SINGLE = ("exact", "closed-form", "first-order", "mc")
 
 EXPERIMENTS = {
-    "sweep-lambda": Experiment("lambda", _lambda_grid, _lambda_row, _SINGLE,
+    "sweep-lambda": Experiment("lambda", _lambda_grid, _lambda_point, _method_columns, _SINGLE,
                                ("exact", "closed-form", "mc")),
-    "sweep-n": Experiment("n_scans", _n_grid, _n_row, _SINGLE, ("exact", "closed-form", "mc")),
-    "first-order": Experiment("n_scans", _n_grid, _n_row, _SINGLE, ("exact", "first-order")),
-    "random-lambda": Experiment("lambda0", _lambda_grid, _random_lambda_row,
+    "sweep-n": Experiment("n_scans", _n_grid, _n_point, _method_columns, _SINGLE,
+                          ("exact", "closed-form", "mc")),
+    "first-order": Experiment("n_scans", _n_grid, _n_point, _method_columns, _SINGLE,
+                              ("exact", "first-order")),
+    "random-lambda": Experiment("lambda0", _lambda_grid, _random_lambda_point, _method_columns,
                                 ("closed-form", "mc"), ("closed-form", "mc")),
-    "multi-fa": Experiment("lambda", _lambda_grid, _multi_fa_row,
+    "multi-fa": Experiment("lambda", _lambda_grid, _multi_fa_point, _method_columns,
                            ("exact", "chi2", "normal", "exponential", "mc"),
                            ("chi2", "normal", "mc")),
-    "dtmc": Experiment("p_fa", _p_fa_grid, _dtmc_row, (), ()),
-    "oracle-compare": Experiment("lambda", _lambda_grid, _lambda_row, _SINGLE, ("exact", "mc")),
+    "dtmc": Experiment("p_fa", _p_fa_grid, lambda spec, p: dtmc_mod.AssocDTMC(p_fa=p),
+                       _dtmc_columns, (), ()),
+    "oracle-compare": Experiment("lambda", _lambda_grid, _lambda_point, _method_columns,
+                                 _SINGLE, ("exact", "mc")),
 }
 
 
 def _experiment_rows(spec: ExperimentSpec):
-    """(header, rows) for the experiment; rows are lists of floats led by x.
-
-    The row functions compute each point's own columns; the compound
-    laws follow, one call per law over the decoy sets of the whole grid, and
-    the Monte Carlo columns come last, from one simulator call over the plans.
-    """
+    """(header, rows) for the experiment; rows are tuples of floats led by x."""
     experiment = EXPERIMENTS[spec.experiment]
-    approx = single_fa.fit_gammas(spec.n_steps, spec.support_k)
     xs = experiment.grid(spec)
-    row_fn = partial(experiment.row, spec, approx)
-    if spec.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor  # here, so jobs=1 never loads it
-
-        with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-            rows, plans = zip(*pool.map(row_fn, xs))
-    else:
-        rows, plans = zip(*[row_fn(x) for x in xs])
-    for column, values in _compound_columns(spec, plans).items():
-        for row, value in zip(rows, values):
-            row[column] = value
-    if "mc" in spec.methods:
-        simulate = (mc_oracle.simulate_multi_fa if plans[0].fa is not None
-                    else mc_oracle.simulate_single_fa)
-        for row, est in zip(rows, simulate(*plans)):
-            row["mc_p"], row["mc_stderr"] = est.p_hat, est.stderr
-    columns = list(rows[0])
-    table = [[x] + [row[c] for c in columns] for x, row in zip(xs, rows)]
-    return [experiment.x_header] + columns, table
+    columns = experiment.columns(spec, [experiment.point(spec, x) for x in xs])
+    return [experiment.x_header, *columns], list(zip(xs, *columns.values()))
 
 
 def write_csv(path, header, table):

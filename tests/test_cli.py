@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import tempfile
 from pathlib import Path
@@ -100,6 +101,40 @@ class TestParseConfig:
         assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_jobs_other_than_one_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("jobs=2\n")
+        with pytest.raises(ConfigError, match="jobs must be 1"):
+            parse_config(cfg)
+        assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_jobs_one_parses(self, tmp_path):
+        # the benchmark's generated configs still set it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("jobs=1\n")
+        assert parse_config(cfg) == default_spec()
+
+    @pytest.mark.parametrize("text", ["lambda_step=1e-9\n", "lambda_step=5e-324\n",
+                                      "experiment=dtmc\np_fa_step=1e-12\n"],
+                             ids=["lambda", "lambda-subnormal", "p_fa"])
+    def test_grid_beyond_its_point_limit(self, tmp_path, capsys, text):
+        # rejected from (hi - lo) / step, before a list of 10^10 points is built
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(text)
+        assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_one_point_grid_with_any_step(self, tmp_path):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("lambda_min=2.0\nlambda_max=2.0\nlambda_step=1e-300\n"
+                       "p_fa=0.1\np_fa_step=1e-300\n")
+        spec = parse_config(cfg)
+        assert EXPERIMENTS["sweep-lambda"].grid(spec) == [2.0]
+        assert EXPERIMENTS["dtmc"].grid(spec) == [0.1]
+
     @pytest.mark.parametrize("text", ["n_steps=0\n", "support_k=0\n",
                                       "experiment=random-lambda\nsigma0=-1\n", "seed=-1\n",
                                       "seed=18446744073709551616\n",
@@ -157,19 +192,6 @@ class TestSweepLambda:
         _, rows = read_csv(tmp_path / "sweep-lambda.csv")
         assert len(rows) == 1
         assert chunks[0] == chunks[1] > 1
-
-    def test_jobs_parallel_output_identical(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("trials=5000\nlambda_step=0.5\n")
-        spec = parse_config(cfg)
-        cfg2 = tmp_path / "run2.cfg"
-        cfg2.write_text("trials=5000\nlambda_step=0.5\njobs=2\n")
-        spec2 = parse_config(cfg2)
-        out_a, out_b = tmp_path / "seq", tmp_path / "par"
-        run(spec, out_a)
-        run(spec2, out_b)
-        assert (out_a / "sweep-lambda.csv").read_bytes() == \
-            (out_b / "sweep-lambda.csv").read_bytes()
 
 
 class TestGolden:
@@ -370,6 +392,27 @@ class TestEveryAcceptedConfig:
         for name, value in zip(header[1:], rows[0][1:]):
             if name not in self.NOT_PROBABILITIES:
                 assert math.isfinite(value) and 0.0 <= value <= 1.0, (name, value)
+
+
+def _method_subsets():
+    for name, experiment in sorted(EXPERIMENTS.items()):
+        for size in range(1, len(experiment.methods) + 1):
+            for subset in itertools.combinations(experiment.methods, size):
+                yield pytest.param(name, subset, id=f"{name}:{','.join(subset)}")
+
+
+@pytest.mark.parametrize("experiment,methods", _method_subsets())
+def test_header_lists_columns_in_method_order(tmp_path, experiment, methods):
+    # methods are asked for in reverse; the CSV follows Experiment.methods
+    cfg = tmp_path / "h.cfg"
+    cfg.write_text(f"experiment={experiment}\nmethods={','.join(reversed(methods))}\n"
+                   "n_min=10\nn_max=10\nlambda_min=2.0\nlambda_max=2.0\ntrials=16\n")
+    assert run(parse_config(cfg), tmp_path) == 0
+    header, rows = read_csv(tmp_path / f"{experiment}.csv")
+    columns = [c for m in methods for c in (("mc_p", "mc_stderr") if m == "mc"
+                                            else (m.replace("-", "_"),))]
+    assert header == [EXPERIMENTS[experiment].x_header] + columns
+    assert len(rows) == 1 and len(rows[0]) == len(header)
 
 
 class TestMainEntry:

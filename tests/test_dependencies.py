@@ -17,8 +17,8 @@ from trackassoc.cli import EXPERIMENTS
 SRC = Path(trackassoc.__file__).resolve().parent
 ROOT = SRC.parent.parent
 
-# modules the package once loaded only to build constants or a thread pool that
-# a run with jobs=1 never uses
+# modules the package once loaded: numpy.polynomial only to build constants,
+# concurrent.futures for a thread pool (jobs > 1) that no config can ask for now
 UNUSED = ("numpy.polynomial", "concurrent.futures")
 
 # one grid point of every experiment, every method it computes
@@ -69,7 +69,7 @@ def _imported_top_levels(path):
 
 @pytest.fixture(scope="module")
 def report():
-    """What a fresh process that runs every experiment once (jobs=1) loaded."""
+    """What a fresh process that runs every experiment once loaded."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     proc = subprocess.run([sys.executable, "-c", RUN_EVERY_EXPERIMENT], capture_output=True,
                           text=True, timeout=300, env=env)

@@ -446,6 +446,9 @@ class TestSharedPass:
             finally:
                 tracemalloc.stop()
 
+        # a warm-up call first, so that neither peak counts the one-time
+        # allocations of the process's first simulation
+        simulate_single_fa(plans[-1])
         assert peak(*plans) <= 1.05 * peak(plans[-1])
 
     @pytest.mark.parametrize("grid,builds", [

@@ -5,8 +5,9 @@ Usage: python tools/same_outputs.py SRC_A SRC_B
 Each SRC is a checkout (holding src/trackassoc) or a directory that holds the
 trackassoc package itself. Every CLI experiment of either tree is run at its
 defaults, and ``multi-fa`` also with every column at k=4 and at k=8 (the
-defaults run it at k=2 without ``exponential``), and ``sweep-n`` also from
-N=20 to N=200 in steps of 20 (the defaults stop at N=80). Each run is one
+defaults run it at k=2 without ``exponential``), ``sweep-n`` also from
+N=20 to N=200 in steps of 20 (the defaults stop at N=80), and the column
+rules the defaults never reach (``EXTRA_RUNS``). Each run is one
 subprocess of the CLI (``trackassoc.cli.main`` with ``--config run.cfg``) with
 that tree first on PYTHONPATH and an empty working directory. The CSVs are
 compared byte for byte, and every value of the table behind them in full
@@ -24,14 +25,23 @@ import sys
 import tempfile
 from pathlib import Path
 
-# Runs beyond the defaults: every compound law, at the decoy counts of the
-# benchmark's multi-decoy (k=4) and analytic (k=8) workloads, and the scan
-# counts of its n-sweep up to the CLI's cap N=200 (the defaults stop at N=80),
-# each with few trials.
-EXTRA_RUNS = tuple({"experiment": "multi-fa", "k": k,
-                    "methods": "exact,chi2,normal,exponential,mc", "trials": 2000}
-                   for k in (4, 8)) + (
-    {"experiment": "sweep-n", "n_min": 20, "n_max": 200, "n_step": 20, "trials": 2000},)
+# Runs beyond the defaults, each with few trials: every compound law, at the
+# decoy counts of the benchmark's multi-decoy (k=4) and analytic (k=8)
+# workloads; the scan counts of its n-sweep up to the CLI's cap N=200 (the
+# defaults stop at N=80); and the column rules the defaults never reach:
+# every single-decoy method at once, the analytic workload's dense exact and
+# closed-form sweep, a random offset of zero and of a wide spread, and a fixed
+# scan below n_scans in sweep-n.
+EXTRA_RUNS = (
+    *({"experiment": "multi-fa", "k": k, "methods": "exact,chi2,normal,exponential,mc",
+       "trials": 2000} for k in (4, 8)),
+    {"experiment": "sweep-n", "n_min": 20, "n_max": 200, "n_step": 20, "trials": 2000},
+    *({"experiment": name, "methods": "exact,closed-form,first-order,mc", "trials": 2000}
+      for name in ("sweep-lambda", "oracle-compare")),
+    {"experiment": "sweep-lambda", "lambda_step": 0.05, "methods": "exact,closed-form"},
+    *({"experiment": "random-lambda", "sigma0": sigma0, "trials": 2000} for sigma0 in (0, 3)),
+    {"experiment": "sweep-n", "n_scans": 80, "scan": 30, "trials": 2000},
+)
 
 # Runs the CLI and also writes every value of the CSV's table as a float hex
 # string, one row per line, to values.hex.
