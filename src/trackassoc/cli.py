@@ -58,6 +58,8 @@ class ExperimentSpec:
 
 
 MAX_GRID_POINTS = 100_000
+MAX_N_STEPS = 1_000    # fit_gammas solves an n_steps x n_steps system, 8 MB at the cap
+MAX_STEPS = 10**6      # the dtmc horizon; far larger ones overflow a float
 
 
 def _validate(spec: ExperimentSpec) -> ExperimentSpec:
@@ -65,6 +67,10 @@ def _validate(spec: ExperimentSpec) -> ExperimentSpec:
     if spec.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {spec.experiment!r}")
     scan = spec.scan or spec.n_scans
+    if spec.n_steps > MAX_N_STEPS:
+        raise ConfigError(f"n_steps must be <= {MAX_N_STEPS}")
+    if not 0 <= spec.steps <= MAX_STEPS:
+        raise ConfigError(f"steps must lie in [0, {MAX_STEPS}]")
     try:
         config = ScanConfig(n_scans=spec.n_scans)
         _check_scan(scan, config)
@@ -88,8 +94,6 @@ def _validate(spec: ExperimentSpec) -> ExperimentSpec:
         raise ConfigError("k must satisfy 1 <= k < n_scans")
     if not (0.0 <= spec.p_fa_min <= spec.p_fa_max < 1.0) or not spec.p_fa_step > 0:
         raise ConfigError("bad p_fa grid")
-    if spec.steps < 0:
-        raise ConfigError("steps must be >= 0")
     for lo, hi, step in ((spec.lambda_min, spec.lambda_max, spec.lambda_step),
                          (spec.p_fa_min, spec.p_fa_max, spec.p_fa_step)):
         if (hi - lo) / step >= MAX_GRID_POINTS:  # checked before _grid builds the list

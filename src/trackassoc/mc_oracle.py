@@ -4,8 +4,8 @@ Randomness discipline: every estimate is driven by Philox counter streams.
 A trial owns a fixed, precomputed window of 64-bit words (uniforms are turned
 into normals by Box-Muller, which consumes exactly one word per normal): trial
 t of a stream whose trials are w words wide reads words [t w, (t+1) w) of its
-seed's sequence, so it always sees the same draws no matter the chunk size,
-execution order, or thread count. Costs are read through the decoy rows of
+seed's sequence, so it always sees the same draws no matter the chunk size
+or execution order. Costs are read through the decoy rows of
 the dense residual projector -- never through the closed-form coefficients
 under test -- and the brute-force least-squares route is cross-checked in the
 test suite. Each plan's decoy rows are resolved once, before any noise is
@@ -80,7 +80,11 @@ _QUARTER_NEG_SIN = np.array([0.0, -1.0, 0.0, 1.0, 0.0])
 
 @dataclass(frozen=True)
 class TrialPlan:
-    """Reproducible simulation request; estimates depend only on (plan, seed)."""
+    """Reproducible simulation request; estimates depend only on (plan, seed).
+
+    The decoys sit at fa's scans and offsets, else one at scan (default: the
+    last) with offset config.lam, or one drawn per trial with random_lambda.
+    """
 
     trials: int
     seed: int
@@ -94,6 +98,8 @@ class TrialPlan:
             raise ValueError("trials must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
+        if self.fa is not None and (self.scan is not None or self.random_lambda is not None):
+            raise ValueError("a plan with fa takes neither scan nor random_lambda")
 
 
 @dataclass(frozen=True)
@@ -288,19 +294,15 @@ def _delta_for_chunk(noise, kernel, lam_per_scan):
     return qmq + 2.0 * qme
 
 
-def _decoys(plan, multi):
-    """The decoys a plan places: (stream, scans, offsets).
+def _decoys(plan):
+    """The decoys a plan places (see ``TrialPlan``): (stream, scans, offsets).
 
-    The decoys sit at plan.fa's scans and offsets for ``simulate_multi_fa``
-    (multi), else at plan.scan (default: the last scan) and plan.config.lam.
-    offsets is a 1 x K row of the decoys' offsets, or None when plan.random_lambda
-    draws the offset per trial. stream is the one the plan reads from its seed's
-    words: (trials, epochs, random offset or not). Every scan is checked to lie
-    in 1..N (geometry._check_scan).
+    offsets is a 1 x K row of the decoys' offsets, or None when
+    plan.random_lambda draws the offset per trial. stream is the one the plan
+    reads from its seed's words: (trials, epochs, random offset or not). Every
+    scan is checked to lie in 1..N (geometry._check_scan).
     """
-    if multi:
-        if plan.fa is None:
-            raise ValueError("multi-contamination plan needs plan.fa")
+    if plan.fa is not None:
         scans, offsets = list(plan.fa.indices), np.array([plan.fa.lambdas])
     else:
         scans = [plan.scan if plan.scan is not None else plan.config.n_scans]
@@ -310,16 +312,16 @@ def _decoys(plan, multi):
     return (plan.trials, plan.config.epochs, offsets is None), scans, offsets
 
 
-def _simulate(plans, multi):
-    """One McEstimate per plan; the plans of a seed share one pass of its words.
+def _chunks(plans):
+    """Yield (i, noise, offsets, kernel) of plans[i] a chunk at a time, one pass per seed.
 
     Every plan's decoys are resolved (``_decoys``) to a kernel (``_kernels``,
     one dense projector per distinct N, one at a time) before any noise is
-    drawn. Each plan keeps (kernel, offsets, random lambda); where offsets is
-    None, the trials' offsets are lambda0 + sigma0 z from the z its stream's
-    pass hands out.
+    drawn. noise is a view of the pass's buffer (see ``_seed_pass``); offsets
+    is the plan's 1 x K row, or the chunk's trials' column lambda0 + sigma0 z
+    for a drawn offset.
     """
-    resolved = [_decoys(plan, multi) for plan in plans]
+    resolved = [_decoys(plan) for plan in plans]
     by_n = {}
     for i, plan in enumerate(plans):
         by_n.setdefault(plan.config.n_scans, []).append(i)
@@ -331,37 +333,48 @@ def _simulate(plans, multi):
     for i, (plan, (stream, _, offsets)) in enumerate(zip(plans, resolved)):
         seeds.setdefault(plan.seed, {}).setdefault(stream, []).append(
             (i, kernels[i], offsets, plan.random_lambda))
-    hits = [0] * len(plans)
     for seed, streams in seeds.items():
         for stream, noise, z in _seed_pass(seed, streams):
             for i, kernel, offsets, rl in streams[stream]:
                 lam = offsets if offsets is not None else (rl.lambda0 + rl.sigma0 * z)[:, None]
-                hits[i] += int((_delta_for_chunk(noise, kernel, lam) >= 0.0).sum())
+                yield i, noise, lam, kernel
+
+
+def _simulate(plans):
+    """One McEstimate per plan: the share of its trials whose cost difference is >= 0."""
+    hits = [0] * len(plans)
+    for i, noise, lam, kernel in _chunks(plans):
+        hits[i] += int((_delta_for_chunk(noise, kernel, lam) >= 0.0).sum())
     return [_estimate(h, plan.trials) for h, plan in zip(hits, plans)]
 
 
-def simulate_single_fa(*plans: TrialPlan) -> list[McEstimate]:
-    """Estimate P(cost difference >= 0) for one contaminated scan, per plan.
+def _require_fa(plans):
+    if any(plan.fa is None for plan in plans):
+        raise ValueError("multi-contamination plan needs plan.fa")
 
-    The decoy sits at (x_l, y_l - lam); lam is plan.config.lam, or drawn per
-    trial when plan.random_lambda is set. Returns one McEstimate per plan, in
-    order; every plan is validated before any noise is drawn. The plans of a
-    seed share one pass of its word sequence: each word up to the end of the
-    longest stream (trials x words a trial) is drawn and turned into a normal
-    once, however many plans, trial counts and epoch counts read it.
+
+def simulate_single_fa(*plans: TrialPlan) -> list[McEstimate]:
+    """Estimate P(cost difference >= 0) with each plan's decoys (``TrialPlan``).
+
+    Returns one McEstimate per plan, in order; every plan is validated before
+    any noise is drawn. The plans of a seed share one pass of its word
+    sequence: each word up to the end of the longest stream (trials x words a
+    trial) is drawn and turned into a normal once, however many plans, trial
+    counts and epoch counts read it.
     """
-    return _simulate(plans, multi=False)
+    return _simulate(plans)
 
 
 def simulate_multi_fa(*plans: TrialPlan) -> list[McEstimate]:
     """Estimate the multi-contamination probability, one McEstimate per plan.
 
-    Same sharing and validation as ``simulate_single_fa``: one pass of each
-    seed's word sequence serves every plan of that seed. A single
-    contaminated scan reduces exactly to simulate_single_fa (same stream, same
-    counts).
+    Every plan must set fa. Same sharing and validation as
+    ``simulate_single_fa``: one pass of each seed's word sequence serves every
+    plan of that seed. A single contaminated scan reduces exactly to
+    simulate_single_fa (same stream, same counts).
     """
-    return _simulate(plans, multi=True)
+    _require_fa(plans)
+    return _simulate(plans)
 
 
 def sample_moments(plan: TrialPlan) -> MomentSample:
@@ -374,24 +387,19 @@ def sample_moments(plan: TrialPlan) -> MomentSample:
     symmetric). The stream is the one ``simulate_multi_fa`` reads for the
     same plan.
     """
-    stream, idx, offsets = _decoys(plan, multi=True)
-    (rows, block, a_blocks), = _kernels(plan.config, [idx])
-    k = len(idx)
-    lam = offsets[0]
-
-    x_rows = block[:k]
-    keep = np.ones(x_rows.shape[1])
-    keep[rows] = 0.0
-    th_blocks = (x_rows * keep) @ x_rows.T
-
-    m1_parts = []
-    v1_parts = []
-    for _, noise, _ in _seed_pass(plan.seed, [stream]):
+    _require_fa([plan])
+    m1_parts, v1_parts = [], []
+    for _, noise, lam, (rows, block, a_blocks) in _chunks([plan]):
+        k = a_blocks.shape[0]
+        if not m1_parts:                   # Phi_S, once: every chunk has the same kernel
+            keep = np.ones(block.shape[1])
+            keep[rows] = 0.0
+            th_blocks = (block[:k] * keep) @ block[:k].T
         e = noise[:, rows]
         ex, ey = e[:, :k], e[:, k:]
         m1 = (np.einsum("ti,ij,tj->t", ex, a_blocks, ex)
-              + np.einsum("ti,ij,tj->t", ey, a_blocks, ey) - lam @ a_blocks @ lam)
-        u = ey + lam[None, :]
+              + np.einsum("ti,ij,tj->t", ey, a_blocks, ey) - lam[0] @ a_blocks @ lam[0])
+        u = ey + lam
         v1 = 4.0 * (np.einsum("ti,ij,tj->t", ex, th_blocks, ex)
                     + np.einsum("ti,ij,tj->t", u, th_blocks, u))
         m1_parts.append(m1)
@@ -412,20 +420,6 @@ def sample_moments(plan: TrialPlan) -> MomentSample:
     return MomentSample(
         m1_mean=m1_mean, m1_mean_se=m1_mean_se, m1_var=m1_var, m1_var_se=m1_var_se,
         v1_mean=v1_mean, v1_mean_se=v1_mean_se, v1_var=v1_var, v1_var_se=v1_var_se)
-
-
-def simulate_conditional(e_l, l, config: ScanConfig, trials: int, seed: int) -> np.ndarray:
-    """Samples of the cost difference with the scan-l noise pinned to e_l."""
-    stream, scans, offsets = _decoys(TrialPlan(trials=trials, seed=seed, config=config, scan=l),
-                                     multi=False)
-    kernel, = _kernels(config, [scans])
-    out = []
-    for _, noise, _ in _seed_pass(seed, [stream]):
-        noise = noise.copy()           # its own: the pass hands out a view of its buffer
-        noise[:, 2 * l] = e_l[0]
-        noise[:, 2 * l + 1] = e_l[1]
-        out.append(_delta_for_chunk(noise, kernel, offsets))
-    return np.concatenate(out)
 
 
 # ---------------------------------------------------------------------------

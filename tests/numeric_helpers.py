@@ -1,4 +1,5 @@
-"""Numerical helpers that only the tests use: Gauss-Hermite rules and raw Philox words.
+"""Numerical helpers that only the tests use: Gauss-Hermite rules, raw Philox words
+and pinned-noise cost differences.
 
 The package's Monte Carlo pass draws uniforms straight from a Philox stream
 (``mc_oracle._draw_uniforms``). The tests reach the words behind them here, to
@@ -47,6 +48,23 @@ def words_to_normals(words):
     z = uniforms(words)
     mc._normals_in_place(z, mc._box_muller_work(z.shape[0] // 2))
     return z
+
+
+def simulate_conditional(e_l, l, config, trials, seed):
+    """Samples of the cost difference with the scan-l noise pinned to e_l.
+
+    The trials are those ``mc.simulate_single_fa`` reads for a decoy at scan l
+    with offset config.lam, on the same pass, with the noise of scan l
+    replaced by e_l.
+    """
+    plan = mc.TrialPlan(trials=trials, seed=seed, config=config, scan=l)
+    out = []
+    for _, noise, lam, kernel in mc._chunks([plan]):
+        noise = noise.copy()           # its own: the pass hands out a view of its buffer
+        noise[:, 2 * l] = e_l[0]
+        noise[:, 2 * l + 1] = e_l[1]
+        out.append(mc._delta_for_chunk(noise, kernel, lam))
+    return np.concatenate(out)
 
 
 def spy_draws(monkeypatch):

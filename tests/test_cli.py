@@ -127,6 +127,28 @@ class TestParseConfig:
         assert "config error:" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("text", ["n_steps=1001\n", "n_steps=100000\n",
+                                      "experiment=dtmc\nsteps=1000001\n",
+                                      "experiment=dtmc\nsteps=1" + "0" * 400 + "\n"],
+                             ids=["n_steps", "n_steps-huge", "steps", "steps-10^400"])
+    def test_integer_beyond_its_cap(self, tmp_path, capsys, text):
+        # n_steps=100000 once asked fit_gammas for an 80 GB array, and
+        # steps=10**400 overflowed a float in the dtmc reach probability
+        cfg = tmp_path / "cap.cfg"
+        cfg.write_text(text)
+        assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("text", ["n_steps=1000\n", "experiment=dtmc\nsteps=1000000\n"],
+                             ids=["n_steps", "steps"])
+    def test_integer_at_its_cap_runs(self, tmp_path, text):
+        cfg = tmp_path / "cap.cfg"
+        cfg.write_text(text + "lambda_min=2.0\nlambda_max=2.0\np_fa=0.1\ntrials=16\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 0
+        header, rows = read_csv(next(tmp_path.glob("*.csv")))
+        assert len(rows) == 1 and all(math.isfinite(v) for v in rows[0])
+
     def test_one_point_grid_with_any_step(self, tmp_path):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text("lambda_min=2.0\nlambda_max=2.0\nlambda_step=1e-300\n"

@@ -3,12 +3,13 @@ import pytest
 
 from trackassoc.dtmc import AssocDTMC, expected_transient_visits, stationary
 from trackassoc.geometry import ScanConfig
-from trackassoc.mc_oracle import (TrialPlan, sample_moments, simulate_conditional,
-                                  simulate_dtmc, simulate_multi_fa, simulate_single_fa)
+from trackassoc.mc_oracle import (TrialPlan, sample_moments, simulate_dtmc, simulate_multi_fa,
+                                  simulate_single_fa)
 from trackassoc.multi_fa import FalseAssocSet
 from trackassoc.single_fa import RandomLambda, exact_probability
 
-from numeric_helpers import philox_words, spy_draws, uniforms, words_to_normals
+from numeric_helpers import (philox_words, simulate_conditional, spy_draws, uniforms,
+                             words_to_normals)
 
 CONFIG = ScanConfig(n_scans=20, lam=2.0)
 
@@ -264,6 +265,8 @@ class TestMultiFa:
     def test_requires_fa(self):
         with pytest.raises(ValueError):
             simulate_multi_fa(TrialPlan(trials=10, seed=1, config=CONFIG, scan=20))
+        with pytest.raises(ValueError):
+            sample_moments(TrialPlan(trials=10, seed=1, config=CONFIG, scan=20))
 
     @pytest.mark.parametrize("scan", (-1, 0, 21))
     def test_moments_reject_a_scan_outside_1_to_n(self, monkeypatch, scan):
@@ -275,6 +278,25 @@ class TestMultiFa:
         with pytest.raises(ValueError, match="outside 1..20"):
             sample_moments(plan)
         assert calls == []
+
+
+class TestDecoyRule:
+    """The plan alone places its decoys, whichever simulator reads it."""
+
+    @pytest.mark.parametrize("extra", [{"scan": 20},
+                                       {"random_lambda": RandomLambda(lambda0=2.0, sigma0=1.0)}],
+                             ids=["scan", "random-lambda"])
+    def test_fa_excludes_scan_and_random_lambda(self, extra):
+        with pytest.raises(ValueError, match="neither scan nor random_lambda"):
+            TrialPlan(trials=10, seed=1, config=CONFIG, fa=FalseAssocSet((20,), (1.0,)), **extra)
+
+    def test_single_fa_estimates_the_plans_decoy_set(self):
+        # a single-decoy estimate at the last scan and lam 0 would read 0.0801
+        plan = TrialPlan(trials=20_000, seed=1, config=ScanConfig(n_scans=40),
+                         fa=FalseAssocSet((39, 40), (3.0, 3.0)))
+        est, = simulate_single_fa(plan)
+        assert [est] == simulate_multi_fa(plan)
+        assert est.p_hat == 0.9889
 
 
 class TestSharedPass:
@@ -422,8 +444,9 @@ class TestSharedPass:
 
         calls = []
         monkeypatch.setattr(mc, "_draw_uniforms", lambda *a: calls.append(a))
-        good = TrialPlan(trials=10, seed=1, config=CONFIG, scan=20,
-                         fa=FalseAssocSet((20,), (1.0,)))
+        good = (TrialPlan(trials=10, seed=1, config=CONFIG, scan=20)
+                if simulate is simulate_single_fa else
+                TrialPlan(trials=10, seed=1, config=CONFIG, fa=FalseAssocSet((20,), (1.0,))))
         with pytest.raises(ValueError):
             simulate(good, good, bad)
         assert calls == []

@@ -6,7 +6,7 @@ from scipy import integrate
 from scipy.stats import kstest
 
 from trackassoc.geometry import ScanConfig, diag_coeffs, leverage
-from trackassoc.mc_oracle import TrialPlan, simulate_conditional, simulate_single_fa
+from trackassoc.mc_oracle import TrialPlan, simulate_single_fa
 from trackassoc.quadrature import normal_upper_tail
 from trackassoc.single_fa import (RandomLambda, closed_form_coefficients,
                                   closed_form_probability, conditional_law, exact_probability,
@@ -14,7 +14,7 @@ from trackassoc.single_fa import (RandomLambda, closed_form_coefficients,
 from trackassoc.tabulated import (a_integral, b_integral, conditional_box_probability,
                                   eta_coeff, reassembled_probability)
 
-from numeric_helpers import gauss_hermite
+from numeric_helpers import gauss_hermite, simulate_conditional
 
 APPROX = fit_gammas(10)
 

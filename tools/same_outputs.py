@@ -11,9 +11,11 @@ rules the defaults never reach (``EXTRA_RUNS``). Each run is one
 subprocess of the CLI (``trackassoc.cli.main`` with ``--config run.cfg``) with
 that tree first on PYTHONPATH and an empty working directory. The CSVs are
 compared byte for byte, and every value of the table behind them in full
-precision, since the CSV's 10 digits hide a change in the last bits. Prints one
-line per run and exits 0 when everything matches, 1 on any difference, a
-failed run, or an experiment that only one tree has.
+precision, since the CSV's 10 digits hide a change in the last bits. Then
+the library calls that no CLI run reaches (``LIBRARY_RUNS``) are run in a
+subprocess of each tree, and the float hex of every value they return is
+compared. Prints one line per run and exits 0 when everything matches, 1 on
+any difference, a failed run, or an experiment that only one tree has.
 """
 
 from __future__ import annotations
@@ -42,6 +44,45 @@ EXTRA_RUNS = (
     *({"experiment": "random-lambda", "sigma0": sigma0, "trials": 2000} for sigma0 in (0, 3)),
     {"experiment": "sweep-n", "n_scans": 80, "scan": 30, "trials": 2000},
 )
+
+# Library calls that no CLI run reaches, each a script that prints every value
+# it computes as a float hex string: sample_moments on two decoy sets at two
+# scan counts; one simulate_single_fa call over plans that mix fixed and drawn
+# offsets, scan counts, seeds and trial counts; and one simulate_multi_fa call
+# over decoy sets of one and of three scans.
+_LIBRARY_IMPORTS = """
+from trackassoc.geometry import ScanConfig
+from trackassoc.mc_oracle import TrialPlan, sample_moments, simulate_multi_fa, simulate_single_fa
+from trackassoc.multi_fa import FalseAssocSet
+from trackassoc.single_fa import RandomLambda
+
+
+def show(estimates):
+    for est in estimates:
+        print(est.p_hat.hex(), est.stderr.hex(), est.trials)
+"""
+LIBRARY_RUNS = {
+    "sample_moments": """
+for n in (20, 60):
+    for fa in (FalseAssocSet((n - 1, n), (1.0, 2.5)),
+               FalseAssocSet((n // 4, n // 2, n), (0.5, 2.0, 3.0))):
+        sample = sample_moments(TrialPlan(trials=20_000, seed=7, config=ScanConfig(n_scans=n),
+                                          fa=fa))
+        print(*(float(v).hex() for v in vars(sample).values()))
+""",
+    "simulate_single_fa over mixed plans": """
+show(simulate_single_fa(*(
+    TrialPlan(trials=3_000 + 1_000 * i, seed=seed, config=ScanConfig(n_scans=n, lam=1.5),
+              scan=n - i, random_lambda=RandomLambda(2.0, 1.0) if i % 2 else None)
+    for seed in (1, 5) for i, n in enumerate((20, 21, 40, 60, 33)))))
+""",
+    "simulate_multi_fa at K=1 and K=3": """
+show(simulate_multi_fa(*(
+    TrialPlan(trials=5_000 + 500 * k, seed=4, config=ScanConfig(n_scans=n),
+              fa=FalseAssocSet(tuple(range(n - k + 1, n + 1)), (lam,) * k))
+    for k in (1, 3) for n in (21, 40) for lam in (1.0, 2.5))))
+""",
+}
 
 # Runs the CLI and also writes every value of the CSV's table as a float hex
 # string, one row per line, to values.hex.
@@ -105,6 +146,15 @@ def outputs(root, keys, out):
     return path.read_bytes(), (out / "values.hex").read_text()
 
 
+def library_values(root, script, cwd):
+    """What the tree prints for a ``LIBRARY_RUNS`` script; None if the run fails."""
+    proc = _run(root, ["-c", _LIBRARY_IMPORTS + script], cwd)
+    if proc.returncode:
+        sys.stderr.write(f"{root}: library run exited {proc.returncode}\n{proc.stderr}")
+        return None
+    return proc.stdout
+
+
 def label(keys):
     """The experiment name, followed by any other config keys of the run."""
     return " ".join([keys["experiment"]] + [f"{key}={value}" for key, value in keys.items()
@@ -142,7 +192,13 @@ def main(argv=None) -> int:
                        else "DIFFERENT")
             print(f"{label(keys)}: {verdict} ({len(csvs[0])} / {len(csvs[1])} bytes)")
             differ += not same
-    print(f"{differ} of {len(runs)} runs differ")
+        for name, script in LIBRARY_RUNS.items():
+            found = [library_values(root, script, tmp) for root in roots]
+            same = None not in found and found[0] == found[1]
+            print(f"library {name}: {'identical' if same else 'DIFFERENT'} "
+                  f"({len((found[0] or '').splitlines())} lines of values)")
+            differ += not same
+    print(f"{differ} of {len(runs) + len(LIBRARY_RUNS)} runs differ")
     return 1 if differ else 0
 
 
