@@ -94,12 +94,14 @@ def build_projector(config: ScanConfig) -> RegressionGeometry:
     matrix H is turned into M = I - H in place, so the build holds one
     2 epochs x 2 epochs array: 0 - H (not -H, which would give -0 where H has
     an exact zero) and then + 1 on the diagonal, bit for bit I - H.
+
+    No conditioning check runs: X has full column rank for every ScanConfig
+    (N + 1 >= 6 distinct epochs), and cond(X'X) grows as about 4 N^2 / 3
+    (5.3e4 at N = 200). It would pass 1e12 only near N = 8.7e5, where M alone
+    would take about 24 TB. The test suite checks the growth.
     """
     X = build_design(config)
-    xtx = X.T @ X
-    if np.linalg.cond(xtx) > 1e12:
-        raise GeometryError("degenerate geometry")
-    projector = X @ np.linalg.solve(xtx, X.T)
+    projector = X @ np.linalg.solve(X.T @ X, X.T)
     np.subtract(0.0, projector, out=projector)
     projector.flat[::projector.shape[0] + 1] += 1.0
     return RegressionGeometry(design=X, projector=projector)

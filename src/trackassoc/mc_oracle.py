@@ -60,7 +60,8 @@ _CHUNK_WORDS = 1 << 16
 
 # Box-Muller pairs per block: the block's work arrays (nine of 8192 doubles,
 # 576 KiB, allocated once per pass) stay in a typical L2 cache, and numpy's
-# per-call cost is spread over enough pairs.
+# per-call cost is spread over enough pairs. The quadrant indices still take a
+# 64 KiB intp array per block (ROADMAP.md item 6).
 _PAIRS_PER_BLOCK = 8192
 
 # sin x = x + x^3 S(x^2) and cos x = 1 - x^2/2 + x^4 C(x^2) on |x| <= pi/4:

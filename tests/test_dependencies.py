@@ -9,10 +9,11 @@ import sys
 import tomllib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import trackassoc
-from trackassoc.cli import EXPERIMENTS
+from trackassoc.cli import EXPERIMENTS, main
 
 SRC = Path(trackassoc.__file__).resolve().parent
 ROOT = SRC.parent.parent
@@ -21,7 +22,12 @@ ROOT = SRC.parent.parent
 # concurrent.futures for a thread pool (jobs > 1) that no config can ask for now
 UNUSED = ("numpy.polynomial", "concurrent.futures")
 
-# one grid point of every experiment, every method it computes
+# one grid point of every experiment, every method it computes (mc included
+# wherever the experiment offers it)
+ONE_POINT = {"n_scans": 8, "n_min": 8, "n_max": 8, "lambda_min": 2.0, "lambda_max": 2.0,
+             "lambda_fixed": 2.0, "p_fa": 0.1, "k": 3, "trials": 64, "steps": 5}
+
+
 RUN_EVERY_EXPERIMENT = """
 import json, sys, tempfile
 from pathlib import Path
@@ -37,8 +43,7 @@ import trackassoc
 from trackassoc.cli import EXPERIMENTS, main
 at_import = loaded()
 
-keys = {"n_scans": 8, "n_min": 8, "n_max": 8, "lambda_min": 2.0, "lambda_max": 2.0,
-        "lambda_fixed": 2.0, "p_fa": 0.1, "k": 3, "trials": 64, "steps": 5}
+keys = %r
 codes = {}
 with tempfile.TemporaryDirectory() as out:
     for name, experiment in EXPERIMENTS.items():
@@ -50,7 +55,7 @@ with tempfile.TemporaryDirectory() as out:
 print(json.dumps({"codes": codes,
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
                   "unused": {"import": at_import, "run": loaded()}}))
-""" % (UNUSED,)
+""" % (UNUSED, ONE_POINT)
 
 
 def _requirement_name(spec):
@@ -85,6 +90,23 @@ def test_every_experiment_runs_without_loading_scipy(report):
 def test_neither_import_nor_a_run_loads_numpy_polynomial_or_a_thread_pool(report):
     assert report["codes"] == {name: [0, True] for name in EXPERIMENTS}
     assert report["unused"] == {"import": [], "run": []}
+
+
+def test_no_run_calls_a_lapack_svd(monkeypatch, tmp_path):
+    # np.linalg.cond and svd serve the tests (test_geometry checks the
+    # projector's conditioning); a run of any experiment must call neither
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run called a LAPACK SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg._linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "cond", refuse)
+    for name, experiment in EXPERIMENTS.items():
+        cfg = tmp_path / f"{name}.cfg"
+        lines = {**ONE_POINT, "experiment": name, "methods": ",".join(experiment.methods)}
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in lines.items()))
+        assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 0, name
+        assert (tmp_path / f"{name}.csv").exists(), name
 
 
 def test_every_third_party_import_is_a_declared_dependency():

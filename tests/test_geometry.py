@@ -97,6 +97,18 @@ class TestProjector:
             m = build_projector(ScanConfig(n_scans=n)).projector
             assert np.array_equal(m.view(np.uint64), expected.view(np.uint64)), n
 
+    def test_normal_matrix_is_well_conditioned(self):
+        # build_projector checks no conditioning: cond(X'X) grows as 4 N^2 / 3,
+        # far under 1e12 at every N a projector fits in memory
+        def cond(n):
+            x = build_design(ScanConfig(n_scans=n))
+            return np.linalg.cond(x.T @ x)
+
+        for n in range(5, 201):
+            assert cond(n) < 1e12, n
+        for n in (1_000, 10_000):
+            assert cond(n) / n**2 == pytest.approx(4 / 3, rel=0.01), n
+
     def test_build_holds_one_projector_sized_array(self):
         config = ScanConfig(n_scans=200)
         build_projector(config)          # numpy's and LAPACK's lazy set-up is not counted

@@ -16,6 +16,9 @@ next to its RSS right after ``import trackassoc.cli`` (read from
 a larger import shows apart from the memory a pass takes. That is the
 resident size at that moment, not the peak so far: the peak includes the
 compiling of the package's sources, which the child does afresh each time.
+It also prints the peak RSS right after the warm-up pass, so that one-time
+page-ins (library code and data that first calls touch) show apart from what
+the timed passes add.
 Only SRC is read; configs and CSVs go to a temporary directory. Exits 1 if a
 process fails or an experiment of a pass does not exit 0.
 """
@@ -33,7 +36,7 @@ PASSES = 5
 
 # Runs in the child: argv is (benchmarks dir, workload, seed, output dir, passes);
 # prints one JSON line with the passes' resource use, the RSS after importing
-# trackassoc and the peak RSS at the end.
+# trackassoc, the peak RSS after the warm-up pass and the peak RSS at the end.
 _CHILD = """
 import json, resource, sys
 from pathlib import Path
@@ -46,6 +49,7 @@ from worker import load_specs, run_pass
 
 workload, seed, out = sys.argv[2], int(sys.argv[3]), Path(sys.argv[4])
 run_pass(load_specs(workload, seed, out / "configs-warmup", one_point=True), out / "warmup")
+warmup_peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 specs = load_specs(workload, seed, out / "configs")
 passes = []
 for i in range(int(sys.argv[5])):
@@ -57,7 +61,7 @@ for i in range(int(sys.argv[5])):
                    "sys_s": after.ru_stime - before.ru_stime,
                    "wall_s": wall, "codes": codes})
 print(json.dumps({"trackassoc": trackassoc.__file__, "passes": passes,
-                  "import_rss_mb": import_rss_mb,
+                  "import_rss_mb": import_rss_mb, "warmup_peak_rss_mb": warmup_peak_rss_mb,
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
 """
 
@@ -104,7 +108,8 @@ def main(argv=None) -> int:
             continue
         print(f"{workload} (seed {seed}, {report['trackassoc']}): "
               f"peak RSS {report['peak_rss_mb']:.2f} MiB "
-              f"(RSS after import trackassoc {report['import_rss_mb']:.2f} MiB)")
+              f"(RSS after import trackassoc {report['import_rss_mb']:.2f} MiB, "
+              f"peak RSS after the warm-up pass {report['warmup_peak_rss_mb']:.2f} MiB)")
         print("  pass  minor_faults  user_s  sys_s  wall_s")
         for i, p in enumerate(report["passes"]):
             bad = sum(code != 0 for code in p["codes"])
