@@ -121,7 +121,8 @@ def reach_probability(dtmc: AssocDTMC, n: int) -> ReachProbability:
     if not 0.0 <= p < 1.0:
         raise DegenerateChainError("reach probability needs 0 <= p_fa < 1")
     power = float(np.linalg.matrix_power(build_chains(dtmc).p2_absorbing, n)[0, 3])
-    return ReachProbability(value=power, spectral=_spectral_reach(p, n))
+    # the powers sum nonnegative terms, but repeated squaring can round past 1
+    return ReachProbability(value=min(power, 1.0), spectral=_spectral_reach(p, n))
 
 
 def expected_transient_visits(dtmc: AssocDTMC, start) -> float:

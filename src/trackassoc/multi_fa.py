@@ -150,15 +150,18 @@ def _chi2_pdf(v, df):
     return out
 
 
-def _chi2_upper_cutoff(df, tail=1e-10):
-    """The first of 2 df + 10 times 1.5^i past which chi-square(df) keeps mass <= ``tail``.
+_CHI2_TAIL = 1e-10                       # chi-square mass the chi2 law leaves out
+
+
+def _chi2_upper_cutoff(df):
+    """The first of 2 df + 10 times 1.5^i past which chi-square(df) keeps mass <= _CHI2_TAIL.
 
     df = 2K is even, so the upper tail at v is the Poisson sum
     e^-x sum_{j<K} x^j / j! at x = v / 2, summed here in log space.
     """
     K = df // 2
     hi = 2.0 * df + 10.0
-    while _poisson_head(K, hi / 2.0) > tail:
+    while _poisson_head(K, hi / 2.0) > _CHI2_TAIL:
         hi *= 1.5
     return hi
 

@@ -136,6 +136,7 @@ class TestReachProbability:
     @example(p=1e-9, n=20)          # once -2.2e-16, from cancellation in 1 - sum
     @example(p=1e-7, n=20)          # once 2e-3 relative error
     @example(p=0.3, n=0)
+    @example(p=0.843, n=50)         # matrix powers once gave 1.0000000000000002
     @given(p=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
            n=st.integers(min_value=0, max_value=500))
     def test_spectral_in_range_and_relatively_accurate(self, p, n):
@@ -144,6 +145,7 @@ class TestReachProbability:
         # accuracy is possible
         r = reach_probability(AssocDTMC(p_fa=p), n)
         assert 0.0 <= r.spectral <= 1.0
+        assert 0.0 <= r.value <= 1.0
         if n >= 2:
             assert abs(r.spectral - r.value) <= 1e-12 * r.value + sys.float_info.min
 

@@ -14,7 +14,8 @@ compared byte for byte, and every value of the table behind them in full
 precision, since the CSV's 10 digits hide a change in the last bits. Then
 the library calls that no CLI run reaches (``LIBRARY_RUNS``) are run in a
 subprocess of each tree, and the float hex of every value they return is
-compared. Prints one line per run and exits 0 when everything matches, 1 on
+compared. Prints one line per run, with how many values moved and the largest
+move when only the last bits differ, and exits 0 when everything matches, 1 on
 any difference, a failed run, or an experiment that only one tree has.
 """
 
@@ -155,6 +156,14 @@ def library_values(root, script, cwd):
     return proc.stdout
 
 
+def moved_values(hex_a, hex_b):
+    """(count, largest absolute difference) of the values that differ between two values.hex."""
+    pairs = [(float.fromhex(a), float.fromhex(b))
+             for row_a, row_b in zip(hex_a.splitlines(), hex_b.splitlines())
+             for a, b in zip(row_a.split(","), row_b.split(",")) if a != b]
+    return len(pairs), max((abs(a - b) for a, b in pairs), default=0.0)
+
+
 def label(keys):
     """The experiment name, followed by any other config keys of the run."""
     return " ".join([keys["experiment"]] + [f"{key}={value}" for key, value in keys.items()
@@ -186,10 +195,14 @@ def main(argv=None) -> int:
                 found.append(outputs(root, keys, out))
             csvs = [f[0] if f else b"" for f in found]
             same = None not in found and found[0] == found[1]
-            last_bits = None not in found and csvs[0] == csvs[1]
-            verdict = ("identical" if same
-                       else "DIFFERENT in the last bits only (CSV bytes identical)" if last_bits
-                       else "DIFFERENT")
+            if same:
+                verdict = "identical"
+            elif None not in found and csvs[0] == csvs[1]:
+                count, largest = moved_values(found[0][1], found[1][1])
+                verdict = (f"DIFFERENT in the last bits only (CSV bytes identical; values "
+                           f"moved: {count}, largest move {largest:.2g})")
+            else:
+                verdict = "DIFFERENT"
             print(f"{label(keys)}: {verdict} ({len(csvs[0])} / {len(csvs[1])} bytes)")
             differ += not same
         for name, script in LIBRARY_RUNS.items():
