@@ -224,7 +224,7 @@ def _method_columns(spec, plans):
     if "normal" in methods:
         columns["normal"] = [res.value for res in multi_fa.prob_normal(*mps)]
     if "exponential" in methods:
-        columns["exponential"] = multi_fa.prob_exponential(*mps, rates=[1.0 / mp.v0 for mp in mps])
+        columns["exponential"] = multi_fa.prob_exponential(*mps)
     if "mc" in methods:
         simulate = (mc_oracle.simulate_single_fa if plans[0].fa is None
                     else mc_oracle.simulate_multi_fa)

@@ -38,17 +38,8 @@ class ChainMatrices:
 
 
 def build_chains(dtmc: AssocDTMC) -> ChainMatrices:
-    p = dtmc.p_fa
-    q = 1.0 - p
-    p2 = np.array([
-        [q, p, 0.0, 0.0],
-        [0.0, 0.0, q, p],
-        [q, p, 0.0, 0.0],
-        [0.0, 0.0, q, p],
-    ])
-    p2_abs = p2.copy()
-    p2_abs[3] = [0.0, 0.0, 0.0, 1.0]
-    return ChainMatrices(p2=p2, p2_absorbing=p2_abs)
+    """P2 and its variant with state 4 absorbing: the chain of the last 2 decisions."""
+    return ChainMatrices(*consecutive_fa_chain(2, dtmc.p_fa))
 
 
 def stationary(dtmc: AssocDTMC) -> np.ndarray:
@@ -145,9 +136,8 @@ def absorption_time_pmf(dtmc: AssocDTMC, start, n: int) -> float:
     """P(absorbed exactly at step n) = start . Q^{n-1} (I - Q) 1, n >= 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    p = dtmc.p_fa
     start = np.asarray(start, dtype=float)
-    q = np.array([[1.0 - p, p, 0.0], [0.0, 0.0, 1.0 - p], [1.0 - p, p, 0.0]])
+    q = build_chains(dtmc).p2_absorbing[:3, :3]
     vec = (np.eye(3) - q) @ np.ones(3)
     return float(start @ np.linalg.matrix_power(q, n - 1) @ vec)
 

@@ -175,16 +175,16 @@ def _poisson_head(K, x):
 _SQRT_2PI = math.sqrt(2 * np.pi)
 
 
-def _variance_law(law: str, mps, K: int | None = None, rates=None):
+def _variance_law(law: str, mps, K: int | None = None):
     """(weight, lo, hi): the density of v1 under ``law`` for each moment set, and the intervals.
 
     ``weight(v, rows)`` evaluates the densities of the sets ``rows`` on the rows
-    of ``v`` (a scalar row takes one set's density along a 1-D ``v``); ``lo`` and
-    ``hi`` list each set's interval. "chi2" is chi-square(2K) as tabulated (no
-    rescaling), cut where its upper tail falls below 1e-10; "normal" is N(v0,
-    s0_sq) over v0 +- 12 s0, cut below at -sigma0_sq, where sigma0_sq + v1 stops
-    being a variance (its interval is empty when s0_sq = 0); "exponential" is
-    Exp(rate) on [0, 40/rate], with one rate per set.
+    of ``v``; ``lo`` and ``hi`` list each set's interval. "chi2" is
+    chi-square(2K) as tabulated (no rescaling), cut where its upper tail falls
+    below 1e-10; "normal" is N(v0, s0_sq) over v0 +- 12 s0, cut below at
+    -sigma0_sq, where sigma0_sq + v1 stops being a variance (its interval is
+    empty when s0_sq = 0, and the set then takes the point mass at v0);
+    "exponential" is Exp(1/v0), the law of mean v0, on [0, 40 v0].
     """
     if law == "chi2":
         if K is None or K < 1:
@@ -200,10 +200,10 @@ def _variance_law(law: str, mps, K: int | None = None, rates=None):
         return ((lambda v, rows: np.exp(-0.5 * ((v - v0[rows]) / s0[rows]) ** 2)
                  / (s0[rows] * _SQRT_2PI)), lo, hi)
     if law == "exponential":
-        if rates is None or len(rates) != len(mps) or not all(r is not None and r > 0
-                                                              for r in rates):
-            raise ValueError("exponential law needs a positive rate for each moment set")
-        rate = np.array(rates, dtype=float)[:, None]
+        if not all(mp.v0 > 0 for mp in mps):
+            raise ValueError("exponential law needs v0 > 0 in each moment set")
+        rates = [1.0 / mp.v0 for mp in mps]
+        rate = np.array(rates)[:, None]
         return ((lambda v, rows: rate[rows] * np.exp(-rate[rows] * v)),
                 [0.0] * len(mps), [40.0 / r for r in rates])
     raise ValueError(f"unknown variance law {law!r}")
@@ -260,51 +260,42 @@ def prob_normal(*mps: MomentParams) -> list[NormalCompound]:
     return out
 
 
-def prob_exponential(*mps: MomentParams, rates) -> list[float]:
-    """Compound tail with v1 ~ Exp(rate), one rate and one value per set.
+def prob_exponential(*mps: MomentParams) -> list[float]:
+    """Compound tail with v1 ~ Exp(1/v0), the law of mean v0, one value per set.
 
     The tabulated series for the same law is tabulated.exponential_series.
     """
-    return _compound_tails(mps, *_variance_law("exponential", mps, rates=rates), range(len(mps)))
+    return _compound_tails(mps, *_variance_law("exponential", mps), range(len(mps)))
 
 
-def compound_density(mp: MomentParams, law: str = "chi2", K: int | None = None,
-                     rate: float | None = None):
+def compound_density(mp: MomentParams, law: str = "chi2", K: int | None = None):
     """Density of the cost difference after compounding mean and variance.
 
     Returns a callable h(delta). The conditional mean of the cost difference is
     -m1 (m1 as defined above), so the compound normal has mean -m0 and variance
-    sigma0_sq + v1, mixed over the chosen v1 law: "chi2" (needs K), "normal",
-    "exponential" (needs rate), or "point" (v1 fixed at v0, giving an exact
-    normal density).
+    sigma0_sq + v1, mixed over the v1 law of ``_variance_law``: "chi2" (needs
+    K), "normal" or "exponential". A normal law whose interval is empty, as
+    with s0_sq = 0, is the point mass at v0, which gives the exact normal
+    density. Otherwise one lockstep ``adaptive_integrate`` call mixes every
+    delta, each value bit for bit that of a call of its own.
     """
-    if law == "point":
-        s = math.sqrt(mp.sigma0_sq + mp.v0)
-
-        def h_point(delta):
-            d = np.asarray(delta, dtype=float)
-            return np.exp(-0.5 * ((d + mp.m0) / s) ** 2) / (s * math.sqrt(2 * np.pi))
-
-        return h_point
-
-    weight, (lo,), (hi,) = _variance_law(law, [mp], K=K, rates=[rate])
+    weight, (lo,), (hi,) = _variance_law(law, [mp], K=K)
     if hi <= lo:
-        raise ValueError("zero-variance normal law: use law='point'")
+        s = math.sqrt(mp.sigma0_sq + mp.v0)
+        return lambda delta: (np.exp(-0.5 * ((np.asarray(delta, dtype=float) + mp.m0) / s) ** 2)
+                              / (s * _SQRT_2PI))
 
     def h(delta):
         d = np.asarray(delta, dtype=float)
+        # squared by Python's float power (C pow), which can differ from x * x in the last bit
+        sq = np.array([(x + mp.m0) ** 2 for x in d.ravel().tolist()])[:, None]
 
-        def point(dd):
-            def f(v):
-                s2 = mp.sigma0_sq + v
-                return (weight(v, 0) * np.exp(-0.5 * (dd + mp.m0) ** 2 / s2)
-                        / np.sqrt(2 * np.pi * s2))
+        def f(v, members):
+            s2 = mp.sigma0_sq + v
+            return (weight(v, np.zeros_like(members)) * np.exp(-0.5 * sq[members] / s2)
+                    / np.sqrt(2 * np.pi * s2))
 
-            val, _ = adaptive_integrate(f, lo, hi, abs_tol=1e-10)
-            return val
-
-        if d.ndim == 0:
-            return point(float(d))
-        return np.array([point(float(x)) for x in d])
+        found = adaptive_integrate(f, [lo] * d.size, [hi] * d.size, abs_tol=1e-10)
+        return np.array([val for val, _ in found]).reshape(d.shape)[()]
 
     return h

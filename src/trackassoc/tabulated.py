@@ -112,16 +112,15 @@ def v1_variance_appendix(fa: FalseAssocSet, config: ScanConfig) -> float:
     return 64.0 * float((np.diag(Th) ** 2 * (1.0 + lam**2)).sum())
 
 
-def exponential_series(mp: MomentParams, rate: float, series_terms: int = 8):
-    """(value, diagnostic) of the odd-moment series for the tail with v1 ~ Exp(rate).
+def exponential_series(mp: MomentParams):
+    """(value, diagnostic) of 8 terms of the odd-moment series for the tail with v1 ~ Exp(1/v0).
 
     Seeded with a quadrature base term (none is tabulated); NaN, with the
     diagnostic saying so, once the terms diverge. Oracle: ``multi_fa.prob_exponential``.
     """
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    if series_terms < 1:
-        raise ValueError("series_terms must be >= 1")
+    if not mp.v0 > 0:
+        raise ValueError("v0 must be positive")
+    rate = 1.0 / mp.v0
     hi = 40.0 / rate
 
     def g(v):
@@ -133,7 +132,7 @@ def exponential_series(mp: MomentParams, rate: float, series_terms: int = 8):
     diagnostic = "converged"
     prev_mag = abs(i_term)
     growth = 0
-    for n in range(series_terms):
+    for n in range(8):
         coeff = (2.0 / math.sqrt(np.pi)) * (-1.0) ** n / (math.factorial(n) * (2 * n + 1))
         series -= coeff * i_term
         nxt = rate * mp.m0 ** (2 * n + 3) - rate * mp.m0**2 * sigma0 ** (2 * n + 1) * i_term

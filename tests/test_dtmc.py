@@ -25,6 +25,15 @@ class TestChainMatrices:
         mats = build_chains(AssocDTMC(p_fa=0.0))
         np.testing.assert_array_equal(mats.p2[0], [1.0, 0.0, 0.0, 0.0])
 
+    def test_pair_chain_rows_at_p_0_2(self):
+        # states [ca,ca], [ca,fa], [fa,ca], [fa,fa]: the next pair keeps the last decision
+        np.testing.assert_array_equal(build_chains(AssocDTMC(p_fa=0.2)).p2, [
+            [0.8, 0.2, 0.0, 0.0],
+            [0.0, 0.0, 0.8, 0.2],
+            [0.8, 0.2, 0.0, 0.0],
+            [0.0, 0.0, 0.8, 0.2],
+        ])
+
     def test_absorbing_row(self):
         mats = build_chains(AssocDTMC(p_fa=0.2))
         np.testing.assert_array_equal(mats.p2_absorbing[3], [0.0, 0.0, 0.0, 1.0])
@@ -241,13 +250,6 @@ class TestExpectedTransientVisits:
 
 
 class TestConsecutiveWindowChain:
-    def test_k2_matches_pair_chain(self):
-        p = 0.23
-        full, absorbing = consecutive_fa_chain(2, p)
-        mats = build_chains(AssocDTMC(p_fa=p))
-        np.testing.assert_allclose(full, mats.p2, atol=1e-15)
-        np.testing.assert_allclose(absorbing, mats.p2_absorbing, atol=1e-15)
-
     def test_rows_stochastic_k3(self):
         full, absorbing = consecutive_fa_chain(3, 0.2)
         np.testing.assert_allclose(full.sum(axis=1), 1.0, atol=1e-14)

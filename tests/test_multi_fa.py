@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -190,7 +191,7 @@ class TestExactProbability:
         assert exact_probability(fa, CONFIG40) == pytest.approx(exact, abs=1e-6)
         assert prob_chi2(k, mp)[0] == pytest.approx(chi2, abs=1e-6)
         assert prob_normal(mp)[0].value == pytest.approx(normal, abs=1e-6)
-        assert prob_exponential(mp, rates=[1.0 / mp.v0])[0] == pytest.approx(exponential, abs=1e-6)
+        assert prob_exponential(mp)[0] == pytest.approx(exponential, abs=1e-6)
 
     @pytest.mark.parametrize("n,indices,lambdas", [(40, (40,), (2.0,)), (20, (2,), (8.75,)),
                                                    (40, (10, 25, 40), (1.5, 2.5, 3.5)),
@@ -317,47 +318,61 @@ class TestProbNormal:
 
 class TestProbExponential:
     def test_rate_half_equals_chi2_two_dof(self):
+        # Exp(1/2), the law of mean v0 = 2, is chi-square(2)
         fa = FalseAssocSet(indices=(40,), lambdas=(2.0,))
-        mp = moment_params(fa, CONFIG40)
-        assert prob_exponential(mp, rates=[0.5])[0] == pytest.approx(prob_chi2(1, mp)[0], abs=1e-6)
+        mp = replace(moment_params(fa, CONFIG40), v0=2.0)
+        assert prob_exponential(mp)[0] == pytest.approx(prob_chi2(1, mp)[0], abs=1e-6)
 
     def test_concentration_limit(self):
-        mp = MomentParams(m0=-1.5, sigma0_sq=2.0, v0=4.0, s0_sq=8.0)
+        mp = MomentParams(m0=-1.5, sigma0_sq=2.0, v0=1e-7, s0_sq=8.0)
         target = float(normal_upper_tail(-1.5 / math.sqrt(2.0)))
-        assert prob_exponential(mp, rates=[1e7])[0] == pytest.approx(target, abs=1e-5)
+        assert prob_exponential(mp)[0] == pytest.approx(target, abs=1e-5)
 
     def test_series_reported_with_diagnostic(self):
-        mp = moment_params(fa_last_k(2, 2.5), CONFIG40)
-        series, diagnostic = exponential_series(mp, rate=0.5, series_terms=8)
+        mp = replace(moment_params(fa_last_k(2, 2.5), CONFIG40), v0=2.0)
+        series, diagnostic = exponential_series(mp)
         assert diagnostic
         # the tabulated recursion does not reproduce the quadrature value
-        assert math.isnan(series) or abs(series - prob_exponential(mp, rates=[0.5])[0]) > 1e-3
+        assert math.isnan(series) or abs(series - prob_exponential(mp)[0]) > 1e-3
 
     def test_rejects_bad_rate(self):
-        mp = MomentParams(-1.0, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            prob_exponential(mp, rates=[0.0])
+        # the rate is 1/v0, so every v0 that is not positive is refused
+        for v0 in (0.0, -1.0, math.nan):
+            mp = MomentParams(-1.0, 1.0, v0, 1.0)
+            with pytest.raises(ValueError):
+                prob_exponential(mp)
+            with pytest.raises(ValueError):
+                compound_density(mp, law="exponential")
+            with pytest.raises(ValueError):
+                exponential_series(mp)
 
 
-def one_point(mp, law, K=None, rate=None):
+def law_inline(mp, law, K=None):
+    """(weight, lo, hi) of one set's v1 law, written inline for a 1-D v; None if lo >= hi."""
+    if law == "chi2":
+        return (lambda v: multi_fa._chi2_pdf(v, 2 * K)), 0.0, _chi2_upper_cutoff(2 * K)
+    if law == "normal":
+        s0 = math.sqrt(mp.s0_sq)
+        lo = max(-mp.sigma0_sq + 1e-12 * (1.0 + mp.sigma0_sq), mp.v0 - 12.0 * s0)
+        hi = mp.v0 + 12.0 * s0
+        if hi <= lo:
+            return None
+        return ((lambda v: np.exp(-0.5 * ((v - mp.v0) / s0) ** 2) / (s0 * math.sqrt(2 * np.pi))),
+                lo, hi)
+    rate = 1.0 / mp.v0
+    return (lambda v: rate * np.exp(-rate * v)), 0.0, 40.0 / rate
+
+
+def one_point(mp, law, K=None):
     """The compound tail of one moment set by a quadrature of its own, as written per point.
 
     The loop reference for the batched laws: each law's density and interval
     inline, one scalar ``adaptive_integrate`` call.
     """
-    if law == "chi2":
-        weight, lo, hi = (lambda v: multi_fa._chi2_pdf(v, 2 * K)), 0.0, _chi2_upper_cutoff(2 * K)
-    elif law == "normal":
-        s0 = math.sqrt(mp.s0_sq)
-        lo = max(-mp.sigma0_sq + 1e-12 * (1.0 + mp.sigma0_sq), mp.v0 - 12.0 * s0)
-        hi = mp.v0 + 12.0 * s0
-        if hi <= lo:
-            return float(normal_upper_tail(mp.m0 / math.sqrt(mp.sigma0_sq + mp.v0)))
-
-        def weight(v):
-            return np.exp(-0.5 * ((v - mp.v0) / s0) ** 2) / (s0 * math.sqrt(2 * np.pi))
-    else:
-        weight, lo, hi = (lambda v: rate * np.exp(-rate * v)), 0.0, 40.0 / rate
+    found = law_inline(mp, law, K)
+    if found is None:
+        return float(normal_upper_tail(mp.m0 / math.sqrt(mp.sigma0_sq + mp.v0)))
+    weight, lo, hi = found
 
     def f(v):
         return normal_upper_tail(mp.m0 / np.sqrt(mp.sigma0_sq + v)) * weight(v)
@@ -383,10 +398,9 @@ class TestBatchedLaws:
     @pytest.mark.parametrize("k", [1, 4, 8])
     def test_exponential(self, k):
         mps = self.grid(k)
-        rates = [1.0 / mp.v0 for mp in mps]
-        batch = prob_exponential(*mps, rates=rates)
-        assert batch == [one_point(mp, "exponential", rate=r) for mp, r in zip(mps, rates)]
-        assert batch == [prob_exponential(mp, rates=[r])[0] for mp, r in zip(mps, rates)]
+        batch = prob_exponential(*mps)
+        assert batch == [one_point(mp, "exponential") for mp in mps]
+        assert batch == [prob_exponential(mp)[0] for mp in mps]
 
     @pytest.mark.parametrize("k", [1, 4, 8])
     def test_normal_with_a_point_mass_member(self, k):
@@ -403,20 +417,45 @@ class TestBatchedLaws:
         assert batch[at].value == float(normal_upper_tail(-2.0 / math.sqrt(8.0)))
         assert {res.unreliable for res in batch} == {True, False}    # both flags are compared
 
-    def test_every_exponential_set_needs_its_rate(self):
-        mps = self.grid(2)[:3]
-        with pytest.raises(ValueError):
-            prob_exponential(*mps, rates=[1.0, 1.0])
-
 
 class TestCompoundDensity:
     def test_point_mass_is_exact_normal(self):
-        mp = MomentParams(m0=-2.0, sigma0_sq=3.0, v0=5.0, s0_sq=4.0)
-        h = compound_density(mp, law="point")
+        # s0_sq = 0 leaves the normal law the point mass at v0
+        mp = MomentParams(m0=-2.0, sigma0_sq=3.0, v0=5.0, s0_sq=0.0)
+        h = compound_density(mp, law="normal")
         s = math.sqrt(mp.sigma0_sq + mp.v0)
         grid = np.linspace(-10, 14, 7)
         expected = np.exp(-0.5 * ((grid + mp.m0) / s) ** 2) / (s * math.sqrt(2 * math.pi))
         np.testing.assert_allclose(h(grid), expected, rtol=1e-12)
+
+    def test_point_mass_tail_matches_prob_normal(self):
+        mp = MomentParams(m0=-2.0, sigma0_sq=3.0, v0=5.0, s0_sq=0.0)
+        h = compound_density(mp, law="normal")
+        span = 14.0 * math.sqrt(mp.sigma0_sq + mp.v0)
+        tail, _ = adaptive_integrate(h, 0.0, span - mp.m0, abs_tol=1e-10)
+        assert tail == pytest.approx(prob_normal(mp)[0].value, abs=1e-9)
+
+    @pytest.mark.parametrize("law,k", [("chi2", 1), ("chi2", 8), ("normal", 2), ("normal", 8),
+                                       ("exponential", 2), ("exponential", 8)])
+    def test_lockstep_equals_a_quadrature_per_delta(self, law, k):
+        # one lockstep call over the deltas gives each the value of a scalar call of its own
+        mp = moment_params(fa_last_k(k, 2.0), CONFIG40)
+        weight, lo, hi = law_inline(mp, law, K=k)
+        # with deltas whose (delta + m0) ** 2 as a Python float (C pow) is not the product
+        drawn = np.random.default_rng(8).normal(-mp.m0, 6.0, 4000).tolist()
+        odd = [x for x in drawn if (x + mp.m0) ** 2 != (x + mp.m0) * (x + mp.m0)][:8]
+        deltas = np.concatenate([np.linspace(-20.0, 20.0, 41), odd])
+        per_delta = []
+        for dd in deltas.tolist():
+            def f(v):
+                s2 = mp.sigma0_sq + v
+                return weight(v) * np.exp(-0.5 * (dd + mp.m0) ** 2 / s2) / np.sqrt(2 * np.pi * s2)
+
+            per_delta.append(adaptive_integrate(f, lo, hi, abs_tol=1e-10)[0])
+        h = compound_density(mp, law=law, K=k)
+        np.testing.assert_array_equal(h(deltas).view(np.int64),
+                                      np.array(per_delta).view(np.int64))
+        assert h(deltas[3]) == per_delta[3]
 
     def test_normalization(self):
         mp = moment_params(fa_last_k(2, 2.0), CONFIG40)

@@ -49,12 +49,19 @@ EXTRA_RUNS = (
 # Library calls that no CLI run reaches, each a script that prints every value
 # it computes as a float hex string: sample_moments on two decoy sets at two
 # scan counts; one simulate_single_fa call over plans that mix fixed and drawn
-# offsets, scan counts, seeds and trial counts; and one simulate_multi_fa call
-# over decoy sets of one and of three scans.
+# offsets, scan counts, seeds and trial counts; one simulate_multi_fa call
+# over decoy sets of one and of three scans; and the three compound laws over
+# the moment sets of 1, 2 and 8 decoys, one of them with s0_sq = 0, with the
+# compound density of each law and set on a delta grid.
 _LIBRARY_IMPORTS = """
+from dataclasses import replace
+
+import numpy as np
+
 from trackassoc.geometry import ScanConfig
 from trackassoc.mc_oracle import TrialPlan, sample_moments, simulate_multi_fa, simulate_single_fa
-from trackassoc.multi_fa import FalseAssocSet
+from trackassoc.multi_fa import (FalseAssocSet, compound_density, moment_params, prob_chi2,
+                                 prob_exponential, prob_normal)
 from trackassoc.single_fa import RandomLambda
 
 
@@ -82,6 +89,20 @@ show(simulate_multi_fa(*(
     TrialPlan(trials=5_000 + 500 * k, seed=4, config=ScanConfig(n_scans=n),
               fa=FalseAssocSet(tuple(range(n - k + 1, n + 1)), (lam,) * k))
     for k in (1, 3) for n in (21, 40) for lam in (1.0, 2.5))))
+""",
+    "compound laws and densities": """
+deltas = np.linspace(-12.0, 12.0, 49)
+for n, k in ((20, 1), (40, 2), (40, 8)):
+    config = ScanConfig(n_scans=n)
+    mps = [moment_params(FalseAssocSet(tuple(range(n - k + 1, n + 1)), (lam,) * k), config)
+           for lam in (0.0, 1.5, 3.0)]
+    mps.append(replace(mps[-1], s0_sq=0.0))
+    print(*(v.hex() for v in prob_chi2(k, *mps)))
+    print(*(f"{r.value.hex()} {r.negative_mass.hex()} {r.unreliable}" for r in prob_normal(*mps)))
+    print(*(v.hex() for v in prob_exponential(*mps)))
+    for mp in mps:
+        for law in ("chi2", "normal", "exponential"):
+            print(*(float(v).hex() for v in compound_density(mp, law, K=k)(deltas)))
 """,
 }
 
