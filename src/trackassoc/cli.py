@@ -240,10 +240,9 @@ def _dtmc_columns(spec, chains):
         "reach_spectral": [reach.spectral for reach in reaches],
         "reach_power": [reach.value for reach in reaches],
         "reach_expansion": [tabulated.reach_expansion(c, spec.steps) for c in chains],
-        "pi4": [float(dtmc_mod.stationary(c)[3]) if 0 < c.p_fa < 1 else c.p_fa * c.p_fa
-                for c in chains],
+        "pi4": [float(dtmc_mod.stationary(c)[3]) for c in chains],
         "expected_visits": [dtmc_mod.expected_transient_visits(c, (1.0, 0.0, 0.0))
-                            if c.p_fa > 0 else float("inf") for c in chains],
+                            for c in chains],
     }
 
 

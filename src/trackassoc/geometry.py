@@ -54,12 +54,6 @@ class ScanConfig:
 
 
 @dataclass(frozen=True)
-class RegressionGeometry:
-    design: np.ndarray    # 2*epochs x 4
-    projector: np.ndarray  # I - X (X'X)^-1 X'
-
-
-@dataclass(frozen=True)
 class DiagBlockCoeffs:
     """Coefficients of the single-contamination quadratic forms at scan l.
 
@@ -87,10 +81,10 @@ def build_design(config: ScanConfig) -> np.ndarray:
     return X
 
 
-def build_projector(config: ScanConfig) -> RegressionGeometry:
-    """Design matrix and dense residual projector for the config's epoch grid.
+def build_projector(config: ScanConfig) -> np.ndarray:
+    """Dense residual projector M = I - X (X'X)^-1 X' for the config's epoch grid.
 
-    Each call builds fresh arrays, so a caller may write into them. The hat
+    Each call builds a fresh array, so a caller may write into it. The hat
     matrix H is turned into M = I - H in place, so the build holds one
     2 epochs x 2 epochs array: 0 - H (not -H, which would give -0 where H has
     an exact zero) and then + 1 on the diagonal, bit for bit I - H.
@@ -104,7 +98,7 @@ def build_projector(config: ScanConfig) -> RegressionGeometry:
     projector = X @ np.linalg.solve(X.T @ X, X.T)
     np.subtract(0.0, projector, out=projector)
     projector.flat[::projector.shape[0] + 1] += 1.0
-    return RegressionGeometry(design=X, projector=projector)
+    return projector
 
 
 def _hat(l, m, N):

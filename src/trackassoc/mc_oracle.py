@@ -49,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dtmc import AssocDTMC
 from .geometry import ScanConfig, _check_scan, build_projector
 from .multi_fa import FalseAssocSet
 from .single_fa import RandomLambda
@@ -265,7 +266,7 @@ def _kernels(config, scan_sets):
     and M at the x rows and columns (K x K; the y block is the same). One dense
     M at config's N serves every set and is let go on return.
     """
-    projector = build_projector(config).projector
+    projector = build_projector(config)
     kernels = []
     for scans in scan_sets:
         rows = [2 * l for l in scans] + [2 * l + 1 for l in scans]
@@ -441,16 +442,15 @@ def _decision_bits(seed, tag, offset, count, p):
     return _draw_uniforms(seed, tag, offset, np.empty(count)) < p
 
 
-def simulate_dtmc(p_fa: float, steps: int, runs: int, seed: int) -> DtmcSimStats:
+def simulate_dtmc(dtmc: AssocDTMC, steps: int, runs: int, seed: int) -> DtmcSimStats:
     """Empirical pair-state occupancy, state-4 return gaps, and absorption times.
 
     One long decision sequence provides occupancy and return statistics; the
     absorption statistic restarts ``runs`` independent sequences from [ca, ca]
     and counts decisions until the first fa-fa pair. Group-indexed streams make
-    every statistic a pure function of (p_fa, steps, runs, seed).
+    every statistic a pure function of (dtmc, steps, runs, seed).
     """
-    if not 0.0 <= p_fa <= 1.0:
-        raise ValueError("p_fa must lie in [0, 1]")
+    p_fa = dtmc.p_fa
     if steps < 2 or runs < 1:
         raise ValueError("need steps >= 2 and runs >= 1")
 

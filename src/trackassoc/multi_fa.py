@@ -278,24 +278,31 @@ def compound_density(mp: MomentParams, law: str = "chi2", K: int | None = None):
     with s0_sq = 0, is the point mass at v0, which gives the exact normal
     density. Otherwise one lockstep ``adaptive_integrate`` call mixes every
     delta, each value bit for bit that of a call of its own.
+
+    The mixture is integrated in u = sqrt(sigma0_sq + v1), the compound
+    normal's standard deviation, over the same interval. In v1 the integrand
+    grows as (sigma0_sq + v1)^(-1/2) at delta = -m0 where the interval
+    reaches a zero variance (the normal law's cut at -sigma0_sq); in u,
+    dv1 = 2 u du cancels the normal density's 1 / u and it stays bounded.
     """
     weight, (lo,), (hi,) = _variance_law(law, [mp], K=K)
     if hi <= lo:
         s = math.sqrt(mp.sigma0_sq + mp.v0)
         return lambda delta: (np.exp(-0.5 * ((np.asarray(delta, dtype=float) + mp.m0) / s) ** 2)
                               / (s * _SQRT_2PI))
+    u_lo, u_hi = math.sqrt(mp.sigma0_sq + lo), math.sqrt(mp.sigma0_sq + hi)
 
     def h(delta):
         d = np.asarray(delta, dtype=float)
         # squared by Python's float power (C pow), which can differ from x * x in the last bit
         sq = np.array([(x + mp.m0) ** 2 for x in d.ravel().tolist()])[:, None]
 
-        def f(v, members):
-            s2 = mp.sigma0_sq + v
-            return (weight(v, np.zeros_like(members)) * np.exp(-0.5 * sq[members] / s2)
-                    / np.sqrt(2 * np.pi * s2))
+        def f(u, members):
+            u2 = u * u
+            return (weight(u2 - mp.sigma0_sq, np.zeros_like(members))
+                    * np.exp(-0.5 * sq[members] / u2) * (2.0 / _SQRT_2PI))
 
-        found = adaptive_integrate(f, [lo] * d.size, [hi] * d.size, abs_tol=1e-10)
+        found = adaptive_integrate(f, [u_lo] * d.size, [u_hi] * d.size, abs_tol=1e-10)
         return np.array([val for val, _ in found]).reshape(d.shape)[()]
 
     return h

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trackassoc.dtmc import (AssocDTMC, build_chains, expected_transient_visits,
+from trackassoc.dtmc import (AssocDTMC, consecutive_fa_chain, expected_transient_visits,
                              reach_probability, stationary)
 from trackassoc.geometry import ScanConfig, build_design, build_projector, diag_coeffs, leverage
 from trackassoc.mc_oracle import (TrialPlan, sample_moments, simulate_dtmc, simulate_multi_fa,
@@ -46,11 +46,10 @@ def test_criterion_01_projection_identities():
     worst = 0.0
     for n in (5, 10, 20, 40, 80):
         config = ScanConfig(n_scans=n)
-        geom = build_projector(config)
-        m = geom.projector
+        m = build_projector(config)
         worst = max(worst,
                     float(np.abs(m @ m - m).max()),
-                    float(np.abs(m @ geom.design).max()),
+                    float(np.abs(m @ build_design(config)).max()),
                     abs(float(np.trace(m)) - (2 * config.epochs - 4)))
     _check(1, "projection identities", worst <= 1e-10, f"worst residual {worst:.2e}")
 
@@ -61,7 +60,7 @@ def test_criterion_02_closed_form_vs_numeric_geometry():
     offsets = []
     for n in (10, 20, 40):
         config = ScanConfig(n_scans=n)
-        m = build_projector(config).projector
+        m = build_projector(config)
         for l in (1, (n + 1) // 2, n):
             block = m[2 * l:2 * l + 2, 2 * l:2 * l + 2]
             coeffs = diag_coeffs(l, config)
@@ -151,7 +150,7 @@ def test_criterion_07_decision_chain_exactness():
     worst_spec = 0.0
     for p in (0.05, 0.1, 0.3):
         chain = AssocDTMC(p_fa=p)
-        p2 = build_chains(chain).p2
+        p2, _ = consecutive_fa_chain(2, chain)
         p2sq = p2 @ p2
         for n in (2, 3, 7, 20):
             worst_power = max(worst_power, float(np.abs(
@@ -163,7 +162,7 @@ def test_criterion_07_decision_chain_exactness():
             r = reach_probability(chain, n)
             worst_spec = max(worst_spec, abs(r.spectral - r.value))
     closed = expected_transient_visits(AssocDTMC(p_fa=0.1), (1.0, 0.0, 0.0))
-    sim = simulate_dtmc(0.1, steps=1000, runs=100_000, seed=42)
+    sim = simulate_dtmc(AssocDTMC(p_fa=0.1), steps=1000, runs=100_000, seed=42)
     rel = abs(sim.mean_absorption_steps - closed) / closed
     ok = worst_power <= 1e-12 and worst_pi <= 1e-12 and worst_spec <= 1e-10 and rel <= 0.05
     _check(7, "decision-chain closed forms",

@@ -6,28 +6,37 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trackassoc.dtmc import (AssocDTMC, DegenerateChainError, absorption_time_pmf,
-                             build_chains, chain_power, consecutive_fa_chain,
-                             expected_transient_visits, mean_intervisit,
+from trackassoc.dtmc import (AssocDTMC, absorption_time_pmf, chain_power,
+                             consecutive_fa_chain, expected_transient_visits, mean_intervisit,
                              reach_probability, stationary)
 from trackassoc.tabulated import reach_expansion, reach_probability_alt_form
 
 
-class TestChainMatrices:
+def pair_chain(p):
+    """(P2, P2 with state 4 absorbing) of the pair chain at p_fa = p."""
+    return consecutive_fa_chain(2, AssocDTMC(p_fa=p))
+
+
+def transient_block(p):
+    """Q, the pair chain's transient block (states 1-3) with state 4 absorbing."""
+    q = 1.0 - p
+    return np.array([[q, p, 0.0], [0.0, 0.0, q], [q, p, 0.0]])
+
+
+class TestPairChain:
     def test_rows_stochastic(self):
         for p in (0.0, 0.05, 0.3, 0.7, 1.0):
-            mats = build_chains(AssocDTMC(p_fa=p))
-            for m in (mats.p2, mats.p2_absorbing):
+            for m in pair_chain(p):
                 np.testing.assert_allclose(m.sum(axis=1), 1.0, rtol=0, atol=1e-12)
                 assert m.min() >= 0.0 and m.max() <= 1.0
 
     def test_no_false_associations(self):
-        mats = build_chains(AssocDTMC(p_fa=0.0))
-        np.testing.assert_array_equal(mats.p2[0], [1.0, 0.0, 0.0, 0.0])
+        p2, _ = pair_chain(0.0)
+        np.testing.assert_array_equal(p2[0], [1.0, 0.0, 0.0, 0.0])
 
     def test_pair_chain_rows_at_p_0_2(self):
         # states [ca,ca], [ca,fa], [fa,ca], [fa,fa]: the next pair keeps the last decision
-        np.testing.assert_array_equal(build_chains(AssocDTMC(p_fa=0.2)).p2, [
+        np.testing.assert_array_equal(pair_chain(0.2)[0], [
             [0.8, 0.2, 0.0, 0.0],
             [0.0, 0.0, 0.8, 0.2],
             [0.8, 0.2, 0.0, 0.0],
@@ -35,8 +44,8 @@ class TestChainMatrices:
         ])
 
     def test_absorbing_row(self):
-        mats = build_chains(AssocDTMC(p_fa=0.2))
-        np.testing.assert_array_equal(mats.p2_absorbing[3], [0.0, 0.0, 0.0, 1.0])
+        _, absorbing = pair_chain(0.2)
+        np.testing.assert_array_equal(absorbing[3], [0.0, 0.0, 0.0, 1.0])
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
@@ -60,20 +69,22 @@ class TestStationary:
         for p in (0.05, 0.3, 0.9):
             chain = AssocDTMC(p_fa=p)
             pi = stationary(chain)
-            np.testing.assert_allclose(pi @ build_chains(chain).p2, pi, atol=1e-14)
+            np.testing.assert_allclose(pi @ pair_chain(p)[0], pi, atol=1e-14)
 
-    @pytest.mark.parametrize("p", (1e-9, 1e-6, 1e-3, 0.05, 0.3, 0.9, 1.0 - 1e-9))
+    @pytest.mark.parametrize("p", (0.0, 1e-9, 1e-6, 1e-3, 0.05, 0.3, 0.9, 1.0 - 1e-9, 1.0))
     def test_matches_balance_solve(self, p):
-        # least-squares solve of pi (P2 - I) = 0 with sum(pi) = 1
-        chain = AssocDTMC(p_fa=p)
-        p2 = build_chains(chain).p2
+        # least-squares solve of pi (P2 - I) = 0 with sum(pi) = 1; the system has
+        # full column rank at every p, the ends included, so the law is unique
+        p2, _ = pair_chain(p)
         a = np.vstack([p2.T - np.eye(4), np.ones(4)])
+        assert np.linalg.matrix_rank(a) == 4
         solved, *_ = np.linalg.lstsq(a, np.concatenate([np.zeros(4), [1.0]]), rcond=None)
-        np.testing.assert_allclose(stationary(chain), solved, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stationary(AssocDTMC(p_fa=p)), solved, rtol=0, atol=1e-12)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateChainError):
-            stationary(AssocDTMC(p_fa=0.0))
+        # at the ends the only recurrent state holds all the mass
+        np.testing.assert_array_equal(stationary(AssocDTMC(p_fa=0.0)), [1.0, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(stationary(AssocDTMC(p_fa=1.0)), [0.0, 0.0, 0.0, 1.0])
 
     def test_certain_false_association(self):
         # p_fa -> 1: all stationary mass on the fa-fa state
@@ -84,7 +95,7 @@ class TestStationary:
 class TestChainPower:
     def test_power_collapses_after_two_steps(self):
         chain = AssocDTMC(p_fa=0.3)
-        p2 = build_chains(chain).p2
+        p2, _ = pair_chain(0.3)
         expected = np.linalg.matrix_power(p2, 7)
         np.testing.assert_allclose(chain_power(chain, 7), expected, atol=1e-12)
         np.testing.assert_allclose(chain_power(chain, 2), chain_power(chain, 7), atol=1e-12)
@@ -102,7 +113,7 @@ class TestChainPower:
     def test_factorization(self):
         p = 0.3
         q = 1.0 - p
-        p2 = build_chains(AssocDTMC(p_fa=p)).p2
+        p2, _ = pair_chain(p)
         v = q * np.ones(4)
         w = np.array([q, p, p, p * p / q])
         np.testing.assert_allclose(p2 @ p2, np.outer(v, w), atol=1e-12)
@@ -120,6 +131,13 @@ class TestMeanIntervisit:
     def test_state1_small_p(self):
         assert mean_intervisit(AssocDTMC(p_fa=1e-7), 1) == pytest.approx(1.0, abs=1e-5)
 
+    @pytest.mark.parametrize("p,recurrent", ((0.0, 1), (1.0, 4)))
+    def test_ends(self, p, recurrent):
+        # the recurrent state recurs every step; the chain leaves every other for good
+        for s in (1, 2, 3, 4):
+            expected = 1.0 if s == recurrent else math.inf
+            assert mean_intervisit(AssocDTMC(p_fa=p), s) == expected
+
 
 class TestReachProbability:
     def test_zero_p(self):
@@ -134,7 +152,7 @@ class TestReachProbability:
         r = reach_probability(AssocDTMC(p_fa=0.3), 2)
         assert r.value == pytest.approx(0.09, abs=1e-12)
 
-    @pytest.mark.parametrize("p", (0.05, 0.1, 0.3, 0.7))
+    @pytest.mark.parametrize("p", (0.0, 0.05, 0.1, 0.3, 0.7, 1.0))
     def test_spectral_matches_powers(self, p):
         chain = AssocDTMC(p_fa=p)
         for n in range(0, 51):
@@ -146,7 +164,7 @@ class TestReachProbability:
     @example(p=1e-7, n=20)          # once 2e-3 relative error
     @example(p=0.3, n=0)
     @example(p=0.843, n=50)         # matrix powers once gave 1.0000000000000002
-    @given(p=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    @given(p=st.floats(min_value=0.0, max_value=1.0),
            n=st.integers(min_value=0, max_value=500))
     def test_spectral_in_range_and_relatively_accurate(self, p, n):
         # matrix powers add only nonnegative terms, so they are accurate to
@@ -163,7 +181,7 @@ class TestReachProbability:
         # Q^n rebuilt from the two nonzero eigenvalues with left/right
         # eigenvectors normalized against Q^1 reproduces the matrix powers
         q = 1.0 - p
-        qmat = np.array([[q, p, 0.0], [0.0, 0.0, q], [q, p, 0.0]])
+        qmat = transient_block(p)
         disc = math.sqrt(1.0 + 2.0 * p - 3.0 * p * p)
         recon = {}
         for lam in ((q - disc) / 2.0, (q + disc) / 2.0):
@@ -222,16 +240,34 @@ class TestExpectedTransientVisits:
         assert expected_transient_visits(AssocDTMC(p_fa=0.5), (1.0, 0.0, 0.0)) == 6.0
 
     def test_infinite_for_zero_p(self):
-        with pytest.raises(DegenerateChainError):
-            expected_transient_visits(AssocDTMC(p_fa=0.0), (1.0, 0.0, 0.0))
+        # no decision is ever false: I - Q is singular, absorption never comes
+        assert np.linalg.matrix_rank(np.eye(3) - transient_block(0.0)) < 3
+        chain = AssocDTMC(p_fa=0.0)
+        for start in np.eye(3):
+            assert expected_transient_visits(chain, start) == math.inf
+            assert all(absorption_time_pmf(chain, start, n) == 0.0 for n in (1, 2, 7, 50))
 
-    @pytest.mark.parametrize("p", (1e-3, 0.01, 0.1, 0.5, 0.9))
+    def test_infinite_once_past_the_float_range(self):
+        # 1 / p^2 overflows below p of about 7.5e-155 and p^2 underflows below 1.6e-162:
+        # the time is past every float, for every start
+        for p in (1e-300, 1e-160, 5e-155):
+            for start in np.eye(3):
+                assert expected_transient_visits(AssocDTMC(p_fa=p), start) == math.inf
+        assert math.isfinite(expected_transient_visits(AssocDTMC(p_fa=1e-154), (0.0, 1.0, 0.0)))
+
+    def test_pmf_at_certain_false_association(self):
+        # p = 1: absorbed at step 1 from [ca,fa] and at step 2 from the other two
+        # states, the fundamental matrix's row sums (2, 1, 2)
+        chain = AssocDTMC(p_fa=1.0)
+        for start, step in zip(np.eye(3), (2, 1, 2)):
+            pmf = [absorption_time_pmf(chain, start, n) for n in range(1, 8)]
+            assert pmf == [float(n == step) for n in range(1, 8)]
+
+    @pytest.mark.parametrize("p", (1e-3, 0.01, 0.1, 0.5, 0.9, 1.0))
     def test_matches_fundamental_matrix_solve(self, p):
         # (I - Q) t = 1 is ill conditioned (cond ~ 1/p^2), so compare only where
         # the solve itself is accurate
-        q = 1.0 - p
-        qmat = np.array([[q, p, 0.0], [0.0, 0.0, q], [q, p, 0.0]])
-        solved = np.linalg.solve(np.eye(3) - qmat, np.ones(3))
+        solved = np.linalg.solve(np.eye(3) - transient_block(p), np.ones(3))
         chain = AssocDTMC(p_fa=p)
         for i, start in enumerate(np.eye(3)):
             assert expected_transient_visits(chain, start) == pytest.approx(solved[i], rel=1e-8)
@@ -251,14 +287,14 @@ class TestExpectedTransientVisits:
 
 class TestConsecutiveWindowChain:
     def test_rows_stochastic_k3(self):
-        full, absorbing = consecutive_fa_chain(3, 0.2)
+        full, absorbing = consecutive_fa_chain(3, AssocDTMC(p_fa=0.2))
         np.testing.assert_allclose(full.sum(axis=1), 1.0, atol=1e-14)
         np.testing.assert_allclose(absorbing.sum(axis=1), 1.0, atol=1e-14)
         np.testing.assert_array_equal(absorbing[7], [0, 0, 0, 0, 0, 0, 0, 1.0])
 
     def test_k3_expected_absorption_vs_simulation(self):
         p = 0.3
-        _, absorbing = consecutive_fa_chain(3, p)
+        _, absorbing = consecutive_fa_chain(3, AssocDTMC(p_fa=p))
         q = absorbing[:7, :7]
         visits = np.linalg.solve(np.eye(7) - q, np.ones(7))
         expected = visits[0]    # start with an all-ca window

@@ -22,7 +22,7 @@ def scaled_projector(n_scans, dt):
 
 
 def numeric_phi(config, indices, m=None):
-    m = build_projector(config).projector if m is None else m
+    m = build_projector(config) if m is None else m
     sel = np.eye(2 * config.epochs)
     for l in indices:
         sel[2 * l, 2 * l] = 0.0
@@ -71,22 +71,21 @@ class TestProjector:
         # scaling the time column keeps the design's column space
         for n in (5, 40, 200):
             np.testing.assert_allclose(scaled_projector(n, dt),
-                                       build_projector(ScanConfig(n_scans=n)).projector,
+                                       build_projector(ScanConfig(n_scans=n)),
                                        rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", GRID_N)
     def test_identities(self, n):
         config = ScanConfig(n_scans=n)
-        geom = build_projector(config)
-        m = geom.projector
+        m = build_projector(config)
         assert np.abs(m - m.T).max() <= 1e-10
         assert np.abs(m @ m - m).max() <= 1e-10
-        assert np.abs(m @ geom.design).max() <= 1e-10
+        assert np.abs(m @ build_design(config)).max() <= 1e-10
         assert abs(np.trace(m) - (2 * config.epochs - 4)) <= 1e-10
 
     def test_trace_value_n10(self):
         # 22 rows minus the 4 fitted parameters
-        m = build_projector(ScanConfig(n_scans=10)).projector
+        m = build_projector(ScanConfig(n_scans=10))
         assert np.trace(m) == pytest.approx(18.0, abs=1e-10)
 
     def test_bit_for_bit_identity_minus_hat(self):
@@ -94,7 +93,7 @@ class TestProjector:
         for n in range(5, 201):
             x = build_design(ScanConfig(n_scans=n))
             expected = np.eye(x.shape[0]) - x @ np.linalg.solve(x.T @ x, x.T)
-            m = build_projector(ScanConfig(n_scans=n)).projector
+            m = build_projector(ScanConfig(n_scans=n))
             assert np.array_equal(m.view(np.uint64), expected.view(np.uint64)), n
 
     def test_normal_matrix_is_well_conditioned(self):
@@ -125,7 +124,7 @@ class TestDiagCoeffs:
     @pytest.mark.parametrize("n", (10, 20, 40))
     def test_alpha_matches_projector_block(self, n):
         config = ScanConfig(n_scans=n)
-        m = build_projector(config).projector
+        m = build_projector(config)
         for l in (1, n // 2, n):
             c = diag_coeffs(l, config)
             block = m[2 * l:2 * l + 2, 2 * l:2 * l + 2]
@@ -238,7 +237,7 @@ class TestCrossCoeffs:
 
     def test_cross_alpha_off_diagonal_matches_projector(self):
         config = ScanConfig(n_scans=12)
-        m = build_projector(config).projector
+        m = build_projector(config)
         for a in range(1, 13):
             for b in range(1, 13):
                 assert cross_alpha(a, b, config) == pytest.approx(m[2 * a, 2 * b], abs=1e-10)

@@ -491,13 +491,13 @@ class TestSharedPass:
         assert len(calls) == builds
 
     def test_writing_into_a_projector_changes_no_estimate(self):
-        # build_projector hands every caller its own arrays: zeroing one must
+        # build_projector hands every caller its own array: zeroing one must
         # not reach a later estimate at the same N
         from trackassoc.geometry import build_projector
 
         plan = TrialPlan(trials=5_000, seed=1, config=CONFIG)
         ref, = simulate_single_fa(plan)
-        build_projector(CONFIG).projector[:] = 0.0
+        build_projector(CONFIG)[:] = 0.0
         assert simulate_single_fa(plan) == [ref]
         assert ref.p_hat == 0.7932        # a zeroed projector reads 1.0
 
@@ -516,7 +516,7 @@ class TestCostAlgebra:
         truth = x @ np.array(state)
         rng = np.random.default_rng(77)
         from trackassoc.geometry import build_projector
-        m = build_projector(config).projector
+        m = build_projector(config)
         for _ in range(200):
             eps = rng.standard_normal(2 * config.epochs)
             z_ca = truth + eps
@@ -607,29 +607,38 @@ class TestConditionalSampler:
 
 class TestDtmcSimulation:
     def test_uniform_occupancy(self):
-        stats = simulate_dtmc(0.5, steps=400_000, runs=1, seed=7)
+        stats = simulate_dtmc(AssocDTMC(p_fa=0.5), steps=400_000, runs=1, seed=7)
         np.testing.assert_allclose(stats.occupancy, 0.25, atol=0.005)
 
     def test_occupancy_matches_stationary(self):
-        stats = simulate_dtmc(0.2, steps=400_000, runs=1, seed=8)
+        stats = simulate_dtmc(AssocDTMC(p_fa=0.2), steps=400_000, runs=1, seed=8)
         np.testing.assert_allclose(stats.occupancy, stationary(AssocDTMC(p_fa=0.2)),
                                    atol=0.005)
 
     def test_return_time_small_p(self):
-        stats = simulate_dtmc(0.1, steps=2_000_000, runs=1, seed=9)
+        stats = simulate_dtmc(AssocDTMC(p_fa=0.1), steps=2_000_000, runs=1, seed=9)
         assert stats.mean_return_state4 == pytest.approx(100.0, rel=0.05)
 
     def test_state4_never_visited_without_false_associations(self):
-        stats = simulate_dtmc(0.0, steps=100_000, runs=10, seed=10)
+        stats = simulate_dtmc(AssocDTMC(p_fa=0.0), steps=100_000, runs=10, seed=10)
         assert stats.occupancy[3] == 0.0
         assert stats.return_count == 0
+        assert stats.mean_absorption_steps == np.inf
+        assert expected_transient_visits(AssocDTMC(p_fa=0.0), (1.0, 0.0, 0.0)) == np.inf
 
     def test_absorption_time(self):
-        stats = simulate_dtmc(0.1, steps=1000, runs=50_000, seed=11)
+        stats = simulate_dtmc(AssocDTMC(p_fa=0.1), steps=1000, runs=50_000, seed=11)
         expected = expected_transient_visits(AssocDTMC(p_fa=0.1), (1.0, 0.0, 0.0))
         assert abs(stats.mean_absorption_steps - expected) <= 3 * stats.absorption_se
 
+    def test_certain_false_association_absorbs_at_step_two(self):
+        stats = simulate_dtmc(AssocDTMC(p_fa=1.0), steps=1000, runs=5000, seed=13)
+        np.testing.assert_array_equal(stats.occupancy, [0.0, 0.0, 0.0, 1.0])
+        assert stats.mean_return_state4 == 1.0
+        assert (stats.mean_absorption_steps, stats.absorption_se) == (2.0, 0.0)
+        assert expected_transient_visits(AssocDTMC(p_fa=1.0), (1.0, 0.0, 0.0)) == 2.0
+
     def test_absorption_reproducible(self):
-        a = simulate_dtmc(0.3, steps=1000, runs=5000, seed=12)
-        b = simulate_dtmc(0.3, steps=1000, runs=5000, seed=12)
+        a = simulate_dtmc(AssocDTMC(p_fa=0.3), steps=1000, runs=5000, seed=12)
+        b = simulate_dtmc(AssocDTMC(p_fa=0.3), steps=1000, runs=5000, seed=12)
         assert a.mean_absorption_steps == b.mean_absorption_steps

@@ -111,7 +111,7 @@ class TestCoefficientMatrices:
         A, Th = coefficient_matrices(FalseAssocSet(indices, (1.0,) * len(indices)), CONFIG40)
         sums = [[cross_theta(a, b, indices, CONFIG40) for b in indices] for a in indices]
         np.testing.assert_allclose(Th, sums, rtol=0.0, atol=1e-12)
-        m = build_projector(CONFIG40).projector
+        m = build_projector(CONFIG40)
         s = np.eye(2 * CONFIG40.epochs)
         for l in indices:
             s[2 * l, 2 * l] = s[2 * l + 1, 2 * l + 1] = 0.0
@@ -447,15 +447,32 @@ class TestCompoundDensity:
         deltas = np.concatenate([np.linspace(-20.0, 20.0, 41), odd])
         per_delta = []
         for dd in deltas.tolist():
-            def f(v):
-                s2 = mp.sigma0_sq + v
-                return weight(v) * np.exp(-0.5 * (dd + mp.m0) ** 2 / s2) / np.sqrt(2 * np.pi * s2)
+            def f(u):
+                # in u = sqrt(sigma0_sq + v), dv = 2 u du
+                u2 = u * u
+                return (weight(u2 - mp.sigma0_sq) * np.exp(-0.5 * (dd + mp.m0) ** 2 / u2)
+                        * (2.0 / math.sqrt(2 * np.pi)))
 
-            per_delta.append(adaptive_integrate(f, lo, hi, abs_tol=1e-10)[0])
+            per_delta.append(adaptive_integrate(f, math.sqrt(mp.sigma0_sq + lo),
+                                                math.sqrt(mp.sigma0_sq + hi), abs_tol=1e-10)[0])
         h = compound_density(mp, law=law, K=k)
         np.testing.assert_array_equal(h(deltas).view(np.int64),
                                       np.array(per_delta).view(np.int64))
         assert h(deltas[3]) == per_delta[3]
+
+    @pytest.mark.parametrize("offset,reference", [(0.0, 0.168999328783332856),
+                                                  (1e-9, 0.168999328783332687),
+                                                  (-1e-9, 0.168999328783332687)])
+    def test_normal_law_reaching_zero_variance(self, offset, reference):
+        # one decoy at N = 40, lam = 2.5: the normal law's interval reaches its cut at
+        # v = -sigma0_sq, where at delta = -m0 the integrand in v grows as
+        # (sigma0_sq + v)^(-1/2) and the bisection once failed; the references are
+        # mpmath tanh-sinh integrals over the same interval (scipy's quad in v
+        # missed by 1.45e-9 there, with an error estimate of 7.7e-14)
+        mp = moment_params(fa_last_k(1, 2.5), CONFIG40)
+        assert mp.v0 - 12.0 * math.sqrt(mp.s0_sq) < -mp.sigma0_sq
+        h = compound_density(mp, law="normal")
+        assert h(-mp.m0 + offset) == pytest.approx(reference, rel=0, abs=1e-12)
 
     def test_normalization(self):
         mp = moment_params(fa_last_k(2, 2.0), CONFIG40)

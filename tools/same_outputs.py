@@ -52,12 +52,16 @@ EXTRA_RUNS = (
 # offsets, scan counts, seeds and trial counts; one simulate_multi_fa call
 # over decoy sets of one and of three scans; and the three compound laws over
 # the moment sets of 1, 2 and 8 decoys, one of them with s0_sq = 0, with the
-# compound density of each law and set on a delta grid.
+# compound density of each law and set on a delta grid; and every decision-chain
+# function at values of p_fa from 1e-300 (where p_fa^2 underflows) to 1 - 1e-12.
 _LIBRARY_IMPORTS = """
 from dataclasses import replace
 
 import numpy as np
 
+from trackassoc.dtmc import (AssocDTMC, absorption_time_pmf, chain_power,
+                             expected_transient_visits, mean_intervisit, reach_probability,
+                             stationary)
 from trackassoc.geometry import ScanConfig
 from trackassoc.mc_oracle import TrialPlan, sample_moments, simulate_multi_fa, simulate_single_fa
 from trackassoc.multi_fa import (FalseAssocSet, compound_density, moment_params, prob_chi2,
@@ -103,6 +107,20 @@ for n, k in ((20, 1), (40, 2), (40, 8)):
     for mp in mps:
         for law in ("chi2", "normal", "exponential"):
             print(*(float(v).hex() for v in compound_density(mp, law, K=k)(deltas)))
+""",
+    "decision chain": """
+starts = ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+for p in (1e-300, 1e-9, 0.01, 0.3, 0.843, 1.0 - 1e-12):
+    chain = AssocDTMC(p)
+    print(*(float(v).hex() for v in stationary(chain)))
+    print(*(float(mean_intervisit(chain, s)).hex() for s in (1, 2, 3, 4)))
+    for n in range(4):
+        print(*(float(v).hex() for v in chain_power(chain, n).ravel()))
+    for n in (0, 1, 2, 50, 10**6):
+        reach = reach_probability(chain, n)
+        print(reach.value.hex(), reach.spectral.hex())
+    print(*(expected_transient_visits(chain, start).hex() for start in starts))
+    print(*(absorption_time_pmf(chain, start, n).hex() for start in starts for n in (1, 2, 7)))
 """,
 }
 
