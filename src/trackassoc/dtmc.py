@@ -15,8 +15,8 @@ checks, and returns the chain's limits at its ends.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -33,27 +33,24 @@ class AssocDTMC:
 def consecutive_fa_chain(k: int, dtmc: AssocDTMC):
     """Transition matrices for the window of the last k decisions.
 
-    States are the 2^k bit tuples (1 = false association), indexed by their
-    binary value; the all-ones state means k consecutive false associations.
-    Returns (full, absorbing) where the absorbing variant traps the all-ones
-    state. k = 2 is the pair chain every other function here reads; for
+    A state is the integer whose bits are the last k decisions (1 = false
+    association), the newest in bit 0, so state s moves to
+    (s << 1 | bit) & (2^k - 1); state 2^k - 1 means k consecutive false
+    associations. Returns (full, absorbing) where the absorbing variant traps
+    that state. k = 2 is the pair chain every other function here reads; for
     k >= 3 no closed form is matched, and validation is by simulation.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     p = dtmc.p_fa
-    states = list(product((0, 1), repeat=k))
-    index = {s: i for i, s in enumerate(states)}
-    m = len(states)
+    m = 1 << k
     full = np.zeros((m, m))
-    for s in states:
-        i = index[s]
+    for s in range(m):
         for bit, prob in ((0, 1.0 - p), (1, p)):
-            full[i, index[s[1:] + (bit,)]] += prob
+            full[s, (s << 1 | bit) & (m - 1)] += prob
     absorbing = full.copy()
-    trap = index[(1,) * k]
-    absorbing[trap] = 0.0
-    absorbing[trap, trap] = 1.0
+    absorbing[m - 1] = 0.0
+    absorbing[m - 1, m - 1] = 1.0
     return full, absorbing
 
 
@@ -80,8 +77,8 @@ def chain_power(dtmc: AssocDTMC, n: int) -> np.ndarray:
 
 def mean_intervisit(dtmc: AssocDTMC, state: int) -> float:
     """Mean recurrence time of a state (1-based), 1 / pi_state; infinite at zero mass."""
-    if not 1 <= state <= 4:
-        raise ValueError("state must be 1..4")
+    if not isinstance(state, numbers.Integral) or not 1 <= state <= 4:
+        raise ValueError("state must be one of the integers 1..4")
     pi = stationary(dtmc)[state - 1]
     return 1.0 / pi if pi > 0.0 else math.inf
 
@@ -133,6 +130,14 @@ def reach_probability(dtmc: AssocDTMC, n: int) -> ReachProbability:
     return ReachProbability(value=min(power, 1.0), spectral=_spectral_reach(dtmc.p_fa, n))
 
 
+def _transient_start(start) -> np.ndarray:
+    """start as an array, if it is a probability vector over the transient states (1, 2, 3)."""
+    start = np.asarray(start, dtype=float)
+    if start.shape != (3,) or not (start.min() >= 0.0 and abs(start.sum() - 1.0) <= 1e-12):
+        raise ValueError("start must be a probability vector over the 3 transient states")
+    return start
+
+
 def expected_transient_visits(dtmc: AssocDTMC, start) -> float:
     """Expected steps before absorption, start a law over transient states (1,2,3).
 
@@ -141,9 +146,7 @@ def expected_transient_visits(dtmc: AssocDTMC, start) -> float:
     infinite below p_fa of about 7.5e-155 too, where 1/p^2 passes every float.
     """
     p = dtmc.p_fa
-    start = np.asarray(start, dtype=float)
-    if start.shape != (3,) or start.min() < 0 or abs(start.sum() - 1.0) > 1e-12:
-        raise ValueError("start must be a probability vector over the 3 transient states")
+    start = _transient_start(start)
     sq = p**2
     if sq == 0.0 or 1.0 / sq == math.inf:
         return math.inf
@@ -152,11 +155,12 @@ def expected_transient_visits(dtmc: AssocDTMC, start) -> float:
 
 
 def absorption_time_pmf(dtmc: AssocDTMC, start, n: int) -> float:
-    """P(absorbed exactly at step n) = start . Q^{n-1} (I - Q) 1, n >= 1."""
+    """P(absorbed exactly at step n) = start . Q^{n-1} a, n >= 1.
+
+    a = (0, p, 0) is the pair chain's absorbing column, so no term is negative.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    start = np.asarray(start, dtype=float)
+    start = _transient_start(start)
     _, absorbing = consecutive_fa_chain(2, dtmc)
-    q = absorbing[:3, :3]
-    vec = (np.eye(3) - q) @ np.ones(3)
-    return float(start @ np.linalg.matrix_power(q, n - 1) @ vec)
+    return float(start @ np.linalg.matrix_power(absorbing[:3, :3], n - 1) @ absorbing[:3, 3])

@@ -20,6 +20,7 @@ the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,8 @@ class ScanConfig:
     def __post_init__(self):
         if int(self.n_scans) != self.n_scans or self.n_scans < 5:
             raise GeometryError("n_scans must be an integer >= 5")
-        if self.lam < 0:
-            raise GeometryError("lam must be nonnegative")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise GeometryError("lam must be finite and nonnegative")
 
     @property
     def epochs(self) -> int:

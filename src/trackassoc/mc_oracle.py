@@ -45,6 +45,7 @@ against full least-squares fits of a moving target.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,18 @@ _COS_COEFS = (-1.13585365213876817300e-11, 2.08757008419747316778e-9,
 _QUARTER_COS = np.array([1.0, 0.0, -1.0, 0.0, 1.0])
 _QUARTER_NEG_SIN = np.array([0.0, -1.0, 0.0, 1.0, 0.0])
 
+# Decisions per block of the decision chain's absorption walk, and the most
+# decisions a call's absorption runs may be expected to need: at about 25 ns a
+# decision (2-core x86 host), 2^30 of them take about half a minute.
+_WALK_BLOCK = 1 << 16
+_MAX_WALK_DECISIONS = 1 << 30
+
+
+def _check_seed(seed):
+    """A seed is an integer in [0, 2^64): the first word of every Philox key."""
+    if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+        raise ValueError("seed must be an integer in [0, 2**64)")
+
 
 @dataclass(frozen=True)
 class TrialPlan:
@@ -98,8 +111,7 @@ class TrialPlan:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+        _check_seed(self.seed)
         if self.fa is not None and (self.scan is not None or self.random_lambda is not None):
             raise ValueError("a plan with fa takes neither scan nor random_lambda")
 
@@ -438,23 +450,28 @@ class DtmcSimStats:
     absorption_se: float
 
 
-def _decision_bits(seed, tag, offset, count, p):
-    return _draw_uniforms(seed, tag, offset, np.empty(count)) < p
-
-
 def simulate_dtmc(dtmc: AssocDTMC, steps: int, runs: int, seed: int) -> DtmcSimStats:
     """Empirical pair-state occupancy, state-4 return gaps, and absorption times.
 
-    One long decision sequence provides occupancy and return statistics; the
-    absorption statistic restarts ``runs`` independent sequences from [ca, ca]
-    and counts decisions until the first fa-fa pair. Group-indexed streams make
-    every statistic a pure function of (dtmc, steps, runs, seed).
+    One long decision sequence (tag 1) provides occupancy and return
+    statistics. The ``runs`` absorption runs from [ca, ca] lie end to end on a
+    second one (tag 2), drawn a block at a time: a run ends at the second of
+    two consecutive false associations and the next starts fresh, so within a
+    stretch of false associations every second one ends a run (a renewal
+    walk); the stretch's length mod 2 is carried from block to block. Every
+    statistic is a pure function of (dtmc, steps, runs, seed). A call whose
+    runs would need more than 2^30 decisions, about runs (1 + p_fa) / p_fa^2,
+    is refused before any is drawn; at p_fa = 0 the absorption time is infinite.
     """
     p_fa = dtmc.p_fa
     if steps < 2 or runs < 1:
         raise ValueError("need steps >= 2 and runs >= 1")
+    _check_seed(seed)
+    if p_fa > 0.0 and runs * (1.0 + p_fa) > _MAX_WALK_DECISIONS * p_fa * p_fa:
+        raise ValueError(f"{runs} absorption runs at p_fa = {p_fa} need about "
+                         "runs (1 + p_fa) / p_fa^2 decisions, over 2**30")
 
-    bits = _decision_bits(seed, 1, 0, steps, p_fa).astype(np.int8)
+    bits = (_draw_uniforms(seed, 1, 0, np.empty(steps)) < p_fa).astype(np.int8)
     states = 2 * bits[:-1] + bits[1:]
     occupancy = np.bincount(states, minlength=4).astype(float) / states.shape[0]
     visits = np.flatnonzero(states == 3)
@@ -470,31 +487,16 @@ def simulate_dtmc(dtmc: AssocDTMC, steps: int, runs: int, seed: int) -> DtmcSimS
                             return_count=return_count, mean_absorption_steps=math.inf,
                             absorption_se=math.inf)
 
-    block = 256
-    group_size = 4096
-    times = np.empty(runs)
-    for g0 in range(0, runs, group_size):
-        g = min(group_size, runs - g0)
-        tag = 1000 + g0 // group_size
-        alive = np.arange(g)
-        t_abs = np.zeros(g, dtype=np.int64)
-        carry = np.zeros(g, dtype=np.int8)   # last decision of the previous block
-        base = 0
-        offset = 0
-        while alive.size:
-            need = alive.size * block
-            flat = _decision_bits(seed, tag, offset, need, p_fa).astype(np.int8)
-            offset += _whole_blocks(need)
-            chunk = flat.reshape(alive.size, block)
-            paired = np.concatenate([carry[alive, None], chunk], axis=1)
-            hit = (paired[:, :-1] & paired[:, 1:]).astype(bool)
-            found = hit.any(axis=1)
-            first = hit.argmax(axis=1)
-            t_abs[alive[found]] = base + first[found] + 1
-            carry[alive] = chunk[:, -1]
-            alive = alive[~found]
-            base += block
-        times[g0:g0 + g] = t_abs
+    index = np.arange(_WALK_BLOCK)
+    ends, found, carry, offset = [], 0, 0, 0
+    while found < runs:
+        fa = _draw_uniforms(seed, 2, offset, np.empty(_WALK_BLOCK)) < p_fa
+        stretch = index - np.maximum.accumulate(np.where(fa, -1 - carry, index))
+        ends.append(offset + np.flatnonzero(fa & (stretch % 2 == 0)))
+        found += ends[-1].size
+        carry = int(stretch[-1]) % 2
+        offset += _WALK_BLOCK
+    times = np.diff(np.concatenate(ends)[:runs], prepend=-1)
     se = float(times.std(ddof=1) / math.sqrt(runs)) if runs > 1 else math.inf
     return DtmcSimStats(occupancy=occupancy, mean_return_state4=mean_return,
                         return_count=return_count, mean_absorption_steps=float(times.mean()),

@@ -51,8 +51,8 @@ class FalseAssocSet:
             raise ValueError("indices and lambdas must have equal length")
         if any(b <= a for a, b in zip(idx, idx[1:])):
             raise ValueError("indices must be strictly increasing")
-        if any(x < 0 for x in lams):
-            raise ValueError("offsets must be nonnegative")
+        if not all(math.isfinite(x) and x >= 0 for x in lams):
+            raise ValueError("offsets must be finite and nonnegative")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "lambdas", lams)
 

@@ -44,8 +44,8 @@ class RandomLambda:
     sigma0: float
 
     def __post_init__(self):
-        if self.sigma0 < 0:
-            raise ValueError("sigma0 must be nonnegative")
+        if not (math.isfinite(self.lambda0) and math.isfinite(self.sigma0) and self.sigma0 >= 0):
+            raise ValueError("lambda0 must be finite, and sigma0 finite and nonnegative")
 
 
 class ClampedProbability(NamedTuple):

@@ -1,5 +1,6 @@
 import math
 import sys
+from itertools import product
 
 import numpy as np
 import pytest
@@ -130,6 +131,12 @@ class TestMeanIntervisit:
 
     def test_state1_small_p(self):
         assert mean_intervisit(AssocDTMC(p_fa=1e-7), 1) == pytest.approx(1.0, abs=1e-5)
+
+    @pytest.mark.parametrize("state", (0, 5, 2.5, 1.0, "1"))
+    def test_rejects_anything_but_the_integers_1_to_4(self, state):
+        with pytest.raises(ValueError):
+            mean_intervisit(AssocDTMC(p_fa=0.5), state)
+        assert mean_intervisit(AssocDTMC(p_fa=0.5), np.int64(4)) == pytest.approx(4.0)
 
     @pytest.mark.parametrize("p,recurrent", ((0.0, 1), (1.0, 4)))
     def test_ends(self, p, recurrent):
@@ -272,6 +279,25 @@ class TestExpectedTransientVisits:
         for i, start in enumerate(np.eye(3)):
             assert expected_transient_visits(chain, start) == pytest.approx(solved[i], rel=1e-8)
 
+    @pytest.mark.parametrize("start", ((math.nan, 0.0, 0.0), (5.0, -4.0, 0.0),
+                                       (math.inf, -math.inf, 1.0), (0.5, 0.5), (1.0, 0.0, 0.0, 0.0)))
+    def test_rejects_a_start_that_is_no_law_over_the_transient_states(self, start):
+        chain = AssocDTMC(p_fa=0.3)
+        with pytest.raises(ValueError):
+            expected_transient_visits(chain, start)
+        with pytest.raises(ValueError):
+            absorption_time_pmf(chain, start, 2)
+
+    @pytest.mark.parametrize("p", (1e-300, 1e-9, 0.3))
+    def test_pmf_nonnegative_and_exact_first_steps(self, p):
+        # the one-step absorbing column is exactly (0, p, 0); from [ca,ca] absorption
+        # needs two decisions, both false
+        chain = AssocDTMC(p_fa=p)
+        for start in np.eye(3):
+            assert min(absorption_time_pmf(chain, start, n) for n in range(1, 60)) >= 0.0
+        assert absorption_time_pmf(chain, (1.0, 0.0, 0.0), 1) == 0.0
+        assert absorption_time_pmf(chain, (1.0, 0.0, 0.0), 2) == p * p
+
     def test_pmf_sums_to_one(self):
         chain = AssocDTMC(p_fa=0.3)
         start = (1.0, 0.0, 0.0)
@@ -286,6 +312,23 @@ class TestExpectedTransientVisits:
 
 
 class TestConsecutiveWindowChain:
+    @pytest.mark.parametrize("k", (1, 3, 5))
+    def test_matches_tuple_window_reference(self, k):
+        # the window as a tuple of its last k decisions (oldest first), indexed by
+        # its binary value; the next window drops the oldest and appends the new one
+        states = list(product((0, 1), repeat=k))
+        index = {s: i for i, s in enumerate(states)}
+        for p in (0.0, -0.0, 1e-300, 5e-324, 0.2, 0.843, 1.0 - 1e-16, 1.0):
+            ref = np.zeros((2**k, 2**k))
+            for s in states:
+                for bit, prob in ((0, 1.0 - p), (1, p)):
+                    ref[index[s], index[s[1:] + (bit,)]] += prob
+            full, absorbing = consecutive_fa_chain(k, AssocDTMC(p_fa=p))
+            ref_absorbing = ref.copy()
+            ref_absorbing[-1] = np.eye(2**k)[-1]
+            assert full.tobytes() == ref.tobytes()
+            assert absorbing.tobytes() == ref_absorbing.tobytes()
+
     def test_rows_stochastic_k3(self):
         full, absorbing = consecutive_fa_chain(3, AssocDTMC(p_fa=0.2))
         np.testing.assert_allclose(full.sum(axis=1), 1.0, atol=1e-14)

@@ -42,6 +42,11 @@ class TestScanConfig:
         with pytest.raises(GeometryError):
             ScanConfig(n_scans=10, lam=-1.0)
 
+    @pytest.mark.parametrize("lam", (float("nan"), float("inf"), -float("inf")))
+    def test_rejects_non_finite_lam(self, lam):
+        with pytest.raises(GeometryError):
+            ScanConfig(n_scans=10, lam=lam)
+
     def test_epochs(self):
         assert ScanConfig(n_scans=7).epochs == 8
 

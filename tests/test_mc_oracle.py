@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,14 @@ class TestReproducibility:
         for chunk in (1000, 4096, 29_999):
             monkeypatch.setattr(mc, "_CHUNK_WORDS", 44 * chunk)
             assert simulate_single_fa(plan) == ref
+
+    @pytest.mark.parametrize("seed", (1.5, -1, 2**64, "1"))
+    def test_seed_is_an_integer_in_64_bits(self, seed):
+        with pytest.raises(ValueError):
+            TrialPlan(trials=10, seed=seed, config=CONFIG)
+        with pytest.raises(ValueError):
+            simulate_dtmc(AssocDTMC(p_fa=0.5), steps=10, runs=10, seed=seed)
+        TrialPlan(trials=10, seed=np.uint64(2**64 - 1), config=CONFIG)
 
     def test_seed_changes_stream(self):
         a, = simulate_single_fa(TrialPlan(trials=30_000, seed=1, config=CONFIG, scan=20))
@@ -637,6 +647,41 @@ class TestDtmcSimulation:
         assert stats.mean_return_state4 == 1.0
         assert (stats.mean_absorption_steps, stats.absorption_se) == (2.0, 0.0)
         assert expected_transient_visits(AssocDTMC(p_fa=1.0), (1.0, 0.0, 0.0)) == 2.0
+
+    @pytest.mark.parametrize("p", (0.3, 0.7, 1.0))
+    def test_absorption_walk_matches_a_run_by_run_loop(self, monkeypatch, p):
+        # the runs read the tag-2 decision stream one after another, each from a
+        # fresh [ca, ca]; the walk gives their times at any block size
+        import trackassoc.mc_oracle as mc
+
+        runs = 300
+        fa = mc._draw_uniforms(12, 2, 0, np.empty(1 << 16)) < p
+        times, run, last = [], 0, False
+        for bit in fa:
+            run += 1
+            if bit and last:
+                times.append(run)
+                run, last = 0, False
+            else:
+                last = bit
+        times = np.array(times[:runs])
+        expected = (float(times.mean()), float(times.std(ddof=1) / math.sqrt(runs)))
+        for block in (4, 64, 1 << 16):
+            monkeypatch.setattr(mc, "_WALK_BLOCK", block)
+            stats = simulate_dtmc(AssocDTMC(p_fa=p), steps=10, runs=runs, seed=12)
+            assert (stats.mean_absorption_steps, stats.absorption_se) == expected
+
+    def test_refuses_runs_past_the_decision_bound(self, monkeypatch):
+        # 3,000 runs at p_fa = 1e-9 need about 3e21 decisions: refused before any
+        # is drawn, as is a p_fa whose square underflows
+        import trackassoc.mc_oracle as mc
+
+        calls = []
+        monkeypatch.setattr(mc, "_draw_uniforms", lambda *a: calls.append(a))
+        for p in (1e-9, 1e-300):
+            with pytest.raises(ValueError):
+                simulate_dtmc(AssocDTMC(p_fa=p), steps=1000, runs=3000, seed=1)
+        assert calls == []
 
     def test_absorption_reproducible(self):
         a = simulate_dtmc(AssocDTMC(p_fa=0.3), steps=1000, runs=5000, seed=12)

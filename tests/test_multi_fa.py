@@ -41,6 +41,11 @@ class TestFalseAssocSet:
         with pytest.raises(ValueError):
             FalseAssocSet(indices=(1.5,), lambdas=(1.0,))
 
+    @pytest.mark.parametrize("lam", (math.nan, math.inf, -math.inf))
+    def test_rejects_non_finite_offset(self, lam):
+        with pytest.raises(ValueError):
+            FalseAssocSet(indices=(1, 2), lambdas=(1.0, lam))
+
     def test_k(self):
         assert fa_last_k(3, 2.0).k == 3
 

@@ -397,3 +397,9 @@ class TestRandomLambda:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             RandomLambda(lambda0=1.0, sigma0=-0.5)
+
+    @pytest.mark.parametrize("x", (math.nan, math.inf, -math.inf))
+    def test_rejects_non_finite_parameters(self, x):
+        for args in ((x, 1.0), (1.0, x)):
+            with pytest.raises(ValueError):
+                RandomLambda(*args)

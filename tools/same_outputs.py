@@ -52,18 +52,21 @@ EXTRA_RUNS = (
 # offsets, scan counts, seeds and trial counts; one simulate_multi_fa call
 # over decoy sets of one and of three scans; and the three compound laws over
 # the moment sets of 1, 2 and 8 decoys, one of them with s0_sq = 0, with the
-# compound density of each law and set on a delta grid; and every decision-chain
-# function at values of p_fa from 1e-300 (where p_fa^2 underflows) to 1 - 1e-12.
+# compound density of each law and set on a delta grid; every decision-chain
+# function, and the k = 1, 3 and 5 windows, at values of p_fa from 1e-300 (where
+# p_fa^2 underflows) to 1 - 1e-12; and every statistic of simulate_dtmc at four
+# values of p_fa from 0 to 1.
 _LIBRARY_IMPORTS = """
 from dataclasses import replace
 
 import numpy as np
 
-from trackassoc.dtmc import (AssocDTMC, absorption_time_pmf, chain_power,
+from trackassoc.dtmc import (AssocDTMC, absorption_time_pmf, chain_power, consecutive_fa_chain,
                              expected_transient_visits, mean_intervisit, reach_probability,
                              stationary)
 from trackassoc.geometry import ScanConfig
-from trackassoc.mc_oracle import TrialPlan, sample_moments, simulate_multi_fa, simulate_single_fa
+from trackassoc.mc_oracle import (TrialPlan, sample_moments, simulate_dtmc, simulate_multi_fa,
+                                  simulate_single_fa)
 from trackassoc.multi_fa import (FalseAssocSet, compound_density, moment_params, prob_chi2,
                                  prob_exponential, prob_normal)
 from trackassoc.single_fa import RandomLambda
@@ -116,11 +119,20 @@ for p in (1e-300, 1e-9, 0.01, 0.3, 0.843, 1.0 - 1e-12):
     print(*(float(mean_intervisit(chain, s)).hex() for s in (1, 2, 3, 4)))
     for n in range(4):
         print(*(float(v).hex() for v in chain_power(chain, n).ravel()))
+    for k in (1, 3, 5):
+        for matrix in consecutive_fa_chain(k, chain):
+            print(*(float(v).hex() for v in matrix.ravel()))
     for n in (0, 1, 2, 50, 10**6):
         reach = reach_probability(chain, n)
         print(reach.value.hex(), reach.spectral.hex())
     print(*(expected_transient_visits(chain, start).hex() for start in starts))
     print(*(absorption_time_pmf(chain, start, n).hex() for start in starts for n in (1, 2, 7)))
+""",
+    "decision-chain oracle": """
+for p in (0.0, 0.1, 0.3, 1.0):
+    stats = simulate_dtmc(AssocDTMC(p), steps=10_000, runs=5_000, seed=3)
+    print(*(float(v).hex() for v in stats.occupancy), stats.mean_return_state4.hex(),
+          stats.return_count, stats.mean_absorption_steps.hex(), stats.absorption_se.hex())
 """,
 }
 
