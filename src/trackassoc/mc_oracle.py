@@ -9,26 +9,32 @@ or execution order. Costs are read through the decoy rows of
 the dense residual projector -- never through the closed-form coefficients
 under test -- and the brute-force least-squares route is cross-checked in the
 test suite. Each plan's decoy rows are resolved once, before any noise is
-drawn, and the dense projector is let go (one is built per distinct N). Each
-trial's projections are summed on their own (einsum, not BLAS), so no sample,
-and no count, depends on how many trials share a chunk.
+drawn, and the dense projector is let go (one is built per distinct N). The
+projector is M_E (x) I2: its x and y blocks are equal and its cross-coordinate
+entries are 0, bit for bit (tested). So the noise is kept in two planes, the
+x and the y coordinate of every epoch, and both are read through one K x
+epochs block of M's x rows. Each trial's projections are summed on their own
+(einsum, not BLAS), so no sample, and no count, depends on how many trials
+share a chunk.
 
 Normals: words 2i and 2i+1 give uniforms u1, u2 in (0, 1] (the top 53 bits m,
 as (m + 1/2) 2^-53 rounded to double: on [0.5, 1) that rounds to an even
 multiple of 2^-53, and m = 2^53 - 1 gives exactly 1, so r = 0 there), and
-z[2i], z[2i+1] = r cos(2 pi u2), r sin(2 pi u2) with r = sqrt(-2 ln u1).
-The uniforms are drawn straight into the pass's buffer of normals by
-Generator.random, which gives m 2^-53 exactly, and 2^-54 is added (one
-rounding, that of (m + 1/2) 2^-53). The cosine and sine come straight from
-u2, never from the rounded product 2 pi u2: v = 4 u2 is exact, q = rint(v),
-x = (v - q) pi/2 with |x| <= pi/4, two fixed polynomials in x^2 (Cephes
-sin.c) give sin x and cos x, and the quadrant q mod 4 rotates them. Each
-pair's normals overwrite its uniforms in place. The work runs in blocks of a
-few thousand pairs, which changes no value, on work arrays allocated once per
-pass, so a pass allocates its window memory once. Each normal lies within
-4 eps max(1, |z|) of a long-double evaluation of the same formula from the
-same u1, u2 (about 2.1 eps measured); np.cos and np.sin of 2 pi u2 erred by
-up to 13.5 eps (FINDINGS.md item 20).
+pair i's normals x[i], y[i] = r cos(2 pi u2), r sin(2 pi u2) with
+r = sqrt(-2 ln u1): x is the plane of word 2i's normal, y that of word
+2i + 1's. The uniforms are drawn by Generator.random, which gives m 2^-53
+exactly, and 2^-54 is added (one rounding, that of (m + 1/2) 2^-53). The
+cosine and sine come straight from u2, never from the rounded product
+2 pi u2: v = 4 u2 is exact, q = rint(v), t = (v - q) pi/2 with |t| <= pi/4,
+two fixed polynomials in t^2 (Cephes sin.c) give sin t and cos t, and the
+quadrant q mod 4 rotates them. The work runs in blocks of a few thousand
+pairs, which changes no value: a block's uniforms are drawn, from the one
+Philox stream the pass reads in order, into spent rows of work arrays
+allocated once per pass, and its normals written to the pass's two planes,
+the halves of one buffer, so a pass allocates its window memory once. Each normal lies within 4 eps max(1, |z|) of a long-double
+evaluation of the same formula from the same u1, u2 (about 2.1 eps
+measured); np.cos and np.sin of 2 pi u2 erred by up to 13.5 eps
+(FINDINGS.md item 20).
 
 Every stream of a seed is a prefix of the same word sequence, and a normal
 depends only on its own even-aligned word pair. So the simulators take every
@@ -137,22 +143,27 @@ class MomentSample:
     v1_var_se: float
 
 
-def _draw_uniforms(seed, tag, word_offset, out):
-    """Uniforms in (0, 1] from (seed, tag)'s words from word_offset on, one per entry of out.
+def _draw_uniforms(seed, tag, word_offset):
+    """A function draw(out) that fills out with uniforms in (0, 1] of (seed, tag)'s words.
 
-    Word w gives (m + 1/2) 2^-53, m = w >> 11 its top 53 bits: Generator.random
-    writes m 2^-53 (exact) and adding 2^-54 rounds the sum once. On [0.5, 1)
-    that is an even multiple of 2^-53 (so m = 2^52 + 1 and 2^52 + 2 give the
-    same u), and m = 2^53 - 1 (words from 2^64 - 2^11 up) gives exactly 1. The
-    least is 2^-54, at m = 0. Returns out.
+    Successive calls read the words in order from word_offset on, one per
+    entry of out, and return out. Word w gives (m + 1/2) 2^-53, m = w >> 11
+    its top 53 bits: Generator.random writes m 2^-53 (exact) and adding 2^-54
+    rounds the sum once. On [0.5, 1) that is an even multiple of 2^-53 (so
+    m = 2^52 + 1 and 2^52 + 2 give the same u), and m = 2^53 - 1 (words from
+    2^64 - 2^11 up) gives exactly 1. The least is 2^-54, at m = 0.
     """
     if word_offset % 4:
         raise ValueError("word offsets must be multiples of 4")
-    bits = np.random.Philox(key=[np.uint64(seed), np.uint64(tag)],
-                            counter=[word_offset // 4, 0, 0, 0])
-    np.random.Generator(bits).random(out=out)
-    out += 2.0**-54
-    return out
+    generator = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(tag)],
+                                                     counter=[word_offset // 4, 0, 0, 0]))
+
+    def draw(out):
+        generator.random(out=out)
+        out += 2.0**-54
+        return out
+
+    return draw
 
 
 def _whole_blocks(n_words):
@@ -161,20 +172,22 @@ def _whole_blocks(n_words):
 
 
 def _box_muller_work(pairs):
-    """Work arrays for ``_normals_in_place`` on up to ``pairs`` pairs at a time."""
+    """Work arrays for ``_normals`` on up to ``pairs`` pairs at a time."""
     return np.empty((9, min(pairs, _PAIRS_PER_BLOCK)))
 
 
-def _normals_in_place(z, work):
-    """Box-Muller normals in place of the uniforms u1, u2 at z[2i], z[2i+1].
+def _normals(draw, x, y, work):
+    """Box-Muller normals of the next pairs into the planes x and y, a block at a time.
 
-    See the module docstring. work comes from ``_box_muller_work`` and serves
-    every block.
+    See the module docstring. draw(out) returns the uniforms u1, u2 of the
+    block's pairs, interleaved, as many as out holds; it may draw them into
+    out, which is a spent row pair of work. work comes from
+    ``_box_muller_work`` and serves every block.
     """
-    pairs = z.shape[0] // 2
-    for lo in range(0, pairs, _PAIRS_PER_BLOCK):
-        hi = min(pairs, lo + _PAIRS_PER_BLOCK)
-        _box_muller(z[2 * lo:2 * hi], work[:, :hi - lo])
+    spent = work[-2:].reshape(-1)
+    for lo in range(0, x.shape[0], _PAIRS_PER_BLOCK):
+        hi = min(x.shape[0], lo + _PAIRS_PER_BLOCK)
+        _box_muller(draw(spent[:2 * (hi - lo)]), x[lo:hi], y[lo:hi], work[:, :hi - lo])
 
 
 def _horner(y, coefs, out):
@@ -185,42 +198,43 @@ def _horner(y, coefs, out):
         out += c
 
 
-def _box_muller(z, work):
-    """z[2i], z[2i+1] = r cos(2 pi u2), r sin(2 pi u2), in place of u1 = z[2i], u2 = z[2i+1].
+def _box_muller(u, x, y, work):
+    """x[i], y[i] = r cos(2 pi u2), r sin(2 pi u2) of the uniforms u1 = u[2i], u2 = u[2i+1].
 
-    Both uniforms are read into work before either normal is written.
+    Both uniforms are read into work's first two rows before any other row is
+    written, so u may lie in its last two.
     """
-    r, x, q, y, p, cos, sin, a, b = work
-    np.copyto(r, z[0::2])             # u1; the log runs on a contiguous array
+    r, v, q, v2, p, cos, sin, a, b = work
+    np.copyto(r, u[0::2])             # u1; the log runs on a contiguous array
     np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
-    np.multiply(z[1::2], 4.0, out=x)  # v = 4 u2, exact
-    np.rint(x, out=q)
-    x -= q                            # exact, |v - q| <= 1/2
-    x *= np.pi / 2                    # 2 pi u2 = q pi/2 + x, |x| <= pi/4
-    np.multiply(x, x, out=y)
-    _horner(y, _SIN_COEFS, out=p)
-    p *= y
-    p *= x
-    np.add(x, p, out=sin)             # sin x = x + x^3 S(x^2)
-    _horner(y, _COS_COEFS, out=p)
-    p *= y
-    p *= y
-    np.multiply(y, -0.5, out=cos)
+    np.multiply(u[1::2], 4.0, out=v)  # 4 u2, exact
+    np.rint(v, out=q)
+    v -= q                            # exact, |4 u2 - q| <= 1/2
+    v *= np.pi / 2                    # 2 pi u2 = q pi/2 + v, |v| <= pi/4
+    np.multiply(v, v, out=v2)
+    _horner(v2, _SIN_COEFS, out=p)
+    p *= v2
+    p *= v
+    np.add(v, p, out=sin)             # sin v = v + v^3 S(v^2)
+    _horner(v2, _COS_COEFS, out=p)
+    p *= v2
+    p *= v2
+    np.multiply(v2, -0.5, out=cos)
     cos += 1.0
-    cos += p                          # cos x = 1 - x^2/2 + x^4 C(x^2)
+    cos += p                          # cos v = 1 - v^2/2 + v^4 C(v^2)
     quadrant = q.astype(np.intp)      # 0..4, so "clip" never clips
     np.take(_QUARTER_COS, quadrant, out=a, mode="clip")
     np.take(_QUARTER_NEG_SIN, quadrant, out=b, mode="clip")
     a *= r
     b *= r
-    np.multiply(a, cos, out=y)
+    np.multiply(a, cos, out=v2)
     np.multiply(b, sin, out=p)
-    np.add(y, p, out=z[0::2])         # r cos(q pi/2 + x) = r (a cos x + b sin x)
-    np.multiply(a, sin, out=y)
+    np.add(v2, p, out=x)              # r cos(q pi/2 + v) = r (a cos v + b sin v)
+    np.multiply(a, sin, out=v2)
     np.multiply(b, cos, out=p)
-    np.subtract(y, p, out=z[1::2])    # r sin(q pi/2 + x) = r (a sin x - b cos x)
+    np.subtract(v2, p, out=y)         # r sin(q pi/2 + v) = r (a sin v - b cos v)
 
 
 def _trial_words(epochs, with_lambda):
@@ -228,16 +242,17 @@ def _trial_words(epochs, with_lambda):
 
 
 def _seed_pass(seed, streams):
-    """Yield (stream, noise, z) for the streams of one seed, a window at a time.
+    """Yield (stream, x, y, z) for the streams of one seed, a window at a time.
 
     The words up to the longest stream's end are drawn and turned into normals
-    once, window by window, in place in one buffer, with Box-Muller work arrays
-    that also live for the whole pass. Each stream then gets the
-    whole trials of it that the buffer holds: noise (trials x 2 epochs, a
-    view of the buffer whose row stride is the trial width: read it, do not
-    write it) and, for a random offset, z (the normal after the noise), else
-    None. A window holds whole trials of the widest stream; the trial of a
-    narrower stream that a window edge cuts moves to the front of the buffer.
+    once, window by window, into two planes (see ``_normals``): the halves of
+    one buffer, with Box-Muller work arrays that also live for the whole pass.
+    Each stream then gets the whole trials of it that the planes hold: x and y
+    (trials x epochs, views of the planes whose row stride is half the trial
+    width: read them, do not write them) and, for a random offset, z = the
+    x-plane normal after the noise (word 2 epochs of the trial), else None. A
+    window holds whole trials of the widest stream; the trial of a narrower
+    stream that a window edge cuts moves to the front of both planes.
     """
     widths = {(trials, epochs, with_lambda): _trial_words(epochs, with_lambda)
               for trials, epochs, with_lambda in streams}
@@ -245,24 +260,26 @@ def _seed_pass(seed, streams):
     end = max(ends.values())
     widest = max(widths.values())
     window = max(1, _CHUNK_WORDS // widest) * widest
-    normals = np.empty(window + widest)
+    planes = np.empty((2, (window + widest) // 2))
     work = _box_muller_work(min(window, end) // 2)
+    draw = _draw_uniforms(seed, 0, 0)
     start = dict.fromkeys(widths, 0)       # first word of each stream's next trial
-    kept = 0                               # normals carried over at the buffer's front
+    kept = 0                               # pairs carried over at the planes' front
     for lo in range(0, end, window):
         hi = min(end, lo + window)
-        _normals_in_place(_draw_uniforms(seed, 0, lo, normals[kept:kept + hi - lo]), work)
-        base = lo - kept                   # the word that normals[0] came from
+        _normals(draw, *planes[:, kept:kept + (hi - lo) // 2], work)
+        base = lo - 2 * kept               # the word whose pair is planes[:, 0]
         for stream, width in widths.items():
             _, epochs, with_lambda = stream
             stop = min(hi, ends[stream]) // width * width
             if stop > start[stream]:
-                rows = normals[start[stream] - base:stop - base].reshape(-1, width)
-                yield stream, rows[:, :2 * epochs], rows[:, 2 * epochs] if with_lambda else None
+                x, y = planes[:, (start[stream] - base) // 2:(stop - base) // 2].reshape(
+                    2, -1, width // 2)
+                yield stream, x[:, :epochs], y[:, :epochs], x[:, epochs] if with_lambda else None
                 start[stream] = stop
         cut = min((w for stream, w in start.items() if w < ends[stream]), default=hi)
-        kept = hi - cut
-        normals[:kept] = normals[cut - base:hi - base]
+        kept = (hi - cut) // 2
+        planes[:, :kept] = planes[:, (cut - base) // 2:(hi - base) // 2]
 
 
 def _estimate(successes, trials):
@@ -273,38 +290,41 @@ def _estimate(successes, trials):
 def _kernels(config, scan_sets):
     """What the cost difference reads of the projector M: a kernel per scan set.
 
-    A kernel is (rows, block, a) for decoys at the set's scans: their x rows
-    2l then their y rows 2l + 1, M at those rows (2K x 2 epochs, contiguous)
-    and M at the x rows and columns (K x K; the y block is the same). One dense
-    M at config's N serves every set and is let go on return.
+    A kernel is (scans, b, a) for decoys at the set's scans: the scans as an
+    index array, b = M at their x rows 2l and every x column (K x epochs,
+    contiguous) and a = b at the decoys' own columns (K x K). The y rows and
+    columns give the same blocks, and the cross-coordinate entries are 0 (see
+    the module docstring). One dense M at config's N serves every set and is
+    let go on return.
     """
     projector = build_projector(config)
     kernels = []
     for scans in scan_sets:
-        rows = [2 * l for l in scans] + [2 * l + 1 for l in scans]
-        x_rows = rows[:len(scans)]
-        kernels.append((rows, projector[rows], projector[np.ix_(x_rows, x_rows)]))
+        scans = np.array(scans, dtype=np.intp)
+        b = np.ascontiguousarray(projector[2 * scans, 0::2])
+        kernels.append((scans, b, b[:, scans]))
     return kernels
 
 
-def _delta_for_chunk(noise, kernel, lam_per_scan):
+def _delta_for_chunk(x, y, kernel, lam_per_scan):
     """Cost difference per trial: q'Mq + 2 q'M eps with q = decoy - noise, sparse.
 
-    One einsum gives every trial's projections M eps at the decoy rows; it sums
-    each trial's row on its own, where a BLAS product's summation order depends
-    on the chunk's row count.
+    Per plane, with eps the noise of its coordinate and q its decoy shifts
+    (q_x = -eps_x and q_y = -(offset + eps_y) at the decoy scans), the plane
+    adds q'a q + 2 q'b eps. One einsum per plane gives every trial's
+    projections b eps; it sums each trial's row on its own, where a BLAS
+    product's summation order depends on the chunk's row count.
     """
-    rows, block, a = kernel
-    k = a.shape[0]
-    e = noise[:, rows]
-    m = np.einsum("td,kd->tk", noise, block)
-    qx = -e[:, :k]
-    qy = -(lam_per_scan + e[:, k:])
+    scans, b, a = kernel
+    qx = -x[:, scans]
+    qy = -(lam_per_scan + y[:, scans])
+    mx = np.einsum("te,ke->tk", x, b)
+    my = np.einsum("te,ke->tk", y, b)
     qmq = (np.einsum("ti,ij,tj->t", qx, a, qx)
            + np.einsum("ti,ij,tj->t", qy, a, qy))
-    qme = np.zeros(noise.shape[0])
-    for i in range(k):
-        qme += qx[:, i] * m[:, i] + qy[:, i] * m[:, k + i]
+    qme = np.zeros(x.shape[0])
+    for i in range(a.shape[0]):
+        qme += qx[:, i] * mx[:, i] + qy[:, i] * my[:, i]
     return qmq + 2.0 * qme
 
 
@@ -327,13 +347,13 @@ def _decoys(plan):
 
 
 def _chunks(plans):
-    """Yield (i, noise, offsets, kernel) of plans[i] a chunk at a time, one pass per seed.
+    """Yield (i, x, y, offsets, kernel) of plans[i] a chunk at a time, one pass per seed.
 
     Every plan's decoys are resolved (``_decoys``) to a kernel (``_kernels``,
     one dense projector per distinct N, one at a time) before any noise is
-    drawn. noise is a view of the pass's buffer (see ``_seed_pass``); offsets
-    is the plan's 1 x K row, or the chunk's trials' column lambda0 + sigma0 z
-    for a drawn offset.
+    drawn. x and y are the chunk's trials' noise planes, views of the pass's
+    buffer (see ``_seed_pass``); offsets is the plan's 1 x K row, or the
+    chunk's trials' column lambda0 + sigma0 z for a drawn offset.
     """
     resolved = [_decoys(plan) for plan in plans]
     by_n = {}
@@ -348,17 +368,17 @@ def _chunks(plans):
         seeds.setdefault(plan.seed, {}).setdefault(stream, []).append(
             (i, kernels[i], offsets, plan.random_lambda))
     for seed, streams in seeds.items():
-        for stream, noise, z in _seed_pass(seed, streams):
+        for stream, x, y, z in _seed_pass(seed, streams):
             for i, kernel, offsets, rl in streams[stream]:
                 lam = offsets if offsets is not None else (rl.lambda0 + rl.sigma0 * z)[:, None]
-                yield i, noise, lam, kernel
+                yield i, x, y, lam, kernel
 
 
 def _simulate(plans):
     """One McEstimate per plan: the share of its trials whose cost difference is >= 0."""
     hits = [0] * len(plans)
-    for i, noise, lam, kernel in _chunks(plans):
-        hits[i] += int((_delta_for_chunk(noise, kernel, lam) >= 0.0).sum())
+    for i, x, y, lam, kernel in _chunks(plans):
+        hits[i] += int((_delta_for_chunk(x, y, kernel, lam) >= 0.0).sum())
     return [_estimate(h, plan.trials) for h, plan in zip(hits, plans)]
 
 
@@ -396,21 +416,19 @@ def sample_moments(plan: TrialPlan) -> MomentSample:
 
     m1 and v1 are evaluated from the decoy rows of the dense projector M,
     keeping the oracle independent of the closed-form sums it validates: with
-    R = M at the decoys' x rows, A = R at their columns and
-    Phi_S = M S M = (R keep) R', where keep zeroes the decoy coordinates (M is
-    symmetric). The stream is the one ``simulate_multi_fa`` reads for the
-    same plan.
+    B = M at the decoys' x rows and x columns, A = B at the decoys' columns and
+    Phi_S = M S M = (B keep) B' per coordinate, where keep zeroes the decoy
+    epochs (M is symmetric, and its x and y blocks are equal). The stream is
+    the one ``simulate_multi_fa`` reads for the same plan.
     """
     _require_fa([plan])
     m1_parts, v1_parts = [], []
-    for _, noise, lam, (rows, block, a_blocks) in _chunks([plan]):
-        k = a_blocks.shape[0]
+    for _, x, y, lam, (scans, b, a_blocks) in _chunks([plan]):
         if not m1_parts:                   # Phi_S, once: every chunk has the same kernel
-            keep = np.ones(block.shape[1])
-            keep[rows] = 0.0
-            th_blocks = (block[:k] * keep) @ block[:k].T
-        e = noise[:, rows]
-        ex, ey = e[:, :k], e[:, k:]
+            keep = np.ones(b.shape[1])
+            keep[scans] = 0.0
+            th_blocks = (b * keep) @ b.T
+        ex, ey = x[:, scans], y[:, scans]
         m1 = (np.einsum("ti,ij,tj->t", ex, a_blocks, ex)
               + np.einsum("ti,ij,tj->t", ey, a_blocks, ey) - lam[0] @ a_blocks @ lam[0])
         u = ey + lam
@@ -471,7 +489,7 @@ def simulate_dtmc(dtmc: AssocDTMC, steps: int, runs: int, seed: int) -> DtmcSimS
         raise ValueError(f"{runs} absorption runs at p_fa = {p_fa} need about "
                          "runs (1 + p_fa) / p_fa^2 decisions, over 2**30")
 
-    bits = (_draw_uniforms(seed, 1, 0, np.empty(steps)) < p_fa).astype(np.int8)
+    bits = (_draw_uniforms(seed, 1, 0)(np.empty(steps)) < p_fa).astype(np.int8)
     states = 2 * bits[:-1] + bits[1:]
     occupancy = np.bincount(states, minlength=4).astype(float) / states.shape[0]
     visits = np.flatnonzero(states == 3)
@@ -488,9 +506,10 @@ def simulate_dtmc(dtmc: AssocDTMC, steps: int, runs: int, seed: int) -> DtmcSimS
                             absorption_se=math.inf)
 
     index = np.arange(_WALK_BLOCK)
+    draw = _draw_uniforms(seed, 2, 0)
     ends, found, carry, offset = [], 0, 0, 0
     while found < runs:
-        fa = _draw_uniforms(seed, 2, offset, np.empty(_WALK_BLOCK)) < p_fa
+        fa = draw(np.empty(_WALK_BLOCK)) < p_fa
         stretch = index - np.maximum.accumulate(np.where(fa, -1 - carry, index))
         ends.append(offset + np.flatnonzero(fa & (stretch % 2 == 0)))
         found += ends[-1].size

@@ -44,10 +44,24 @@ def uniforms(words):
 
 
 def words_to_normals(words):
-    """Box-Muller normals of raw words, one per word, by the pass's in-place transform."""
-    z = uniforms(words)
-    mc._normals_in_place(z, mc._box_muller_work(z.shape[0] // 2))
-    return z
+    """Box-Muller normals of raw words, one per word, by the pass's transform.
+
+    The pass writes pair i's normals to two planes; here they are interleaved
+    back, the normal of word j at z[j].
+    """
+    u = uniforms(words)
+    taken = 0
+
+    def draw(out):
+        nonlocal taken
+        taken += out.shape[0]
+        return u[taken - out.shape[0]:taken]
+
+    z = np.empty((u.shape[0] // 2, 2))
+    x, y = np.empty((2, z.shape[0]))
+    mc._normals(draw, x, y, mc._box_muller_work(z.shape[0]))
+    z[:, 0], z[:, 1] = x, y
+    return z.reshape(-1)
 
 
 def simulate_conditional(e_l, l, config, trials, seed):
@@ -59,22 +73,28 @@ def simulate_conditional(e_l, l, config, trials, seed):
     """
     plan = mc.TrialPlan(trials=trials, seed=seed, config=config, scan=l)
     out = []
-    for _, noise, lam, kernel in mc._chunks([plan]):
-        noise = noise.copy()           # its own: the pass hands out a view of its buffer
-        noise[:, 2 * l] = e_l[0]
-        noise[:, 2 * l + 1] = e_l[1]
-        out.append(mc._delta_for_chunk(noise, kernel, lam))
+    for _, x, y, lam, kernel in mc._chunks([plan]):
+        x, y = x.copy(), y.copy()      # its own: the pass hands out views of its buffer
+        x[:, l], y[:, l] = e_l
+        out.append(mc._delta_for_chunk(x, y, kernel, lam))
     return np.concatenate(out)
 
 
 def spy_draws(monkeypatch):
     """Record (seed, tag, word offset, words drawn) for every draw of the oracle."""
     calls = []
-    draw = mc._draw_uniforms
+    draw_uniforms = mc._draw_uniforms
 
-    def spy(seed, tag, word_offset, out):
-        calls.append((seed, tag, word_offset, out.shape[0]))
-        return draw(seed, tag, word_offset, out)
+    def spy(seed, tag, word_offset):
+        draw, offset = draw_uniforms(seed, tag, word_offset), word_offset
+
+        def spied(out):
+            nonlocal offset
+            calls.append((seed, tag, offset, out.shape[0]))
+            offset += out.shape[0]
+            return draw(out)
+
+        return spied
 
     monkeypatch.setattr(mc, "_draw_uniforms", spy)
     return calls

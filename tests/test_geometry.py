@@ -101,6 +101,14 @@ class TestProjector:
             m = build_projector(ScanConfig(n_scans=n))
             assert np.array_equal(m.view(np.uint64), expected.view(np.uint64)), n
 
+    @pytest.mark.parametrize("n", (5, 20, 40, 200))
+    def test_coordinates_decouple_bit_for_bit(self, n):
+        # M = M_E (x) I2 exactly: the Monte Carlo oracle reads both coordinates'
+        # noise through the x block alone (mc_oracle._kernels)
+        m = build_projector(ScanConfig(n_scans=n))
+        assert np.all(m[0::2, 1::2] == 0.0) and np.all(m[1::2, 0::2] == 0.0)
+        assert np.array_equal(m[0::2, 0::2].view(np.uint64), m[1::2, 1::2].view(np.uint64))
+
     def test_normal_matrix_is_well_conditioned(self):
         # build_projector checks no conditioning: cond(X'X) grows as 4 N^2 / 3,
         # far under 1e12 at every N a projector fits in memory

@@ -133,8 +133,13 @@ class TestBoxMuller:
 
         words = philox_words(seed, tag, offset, n)
         former = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        drawn = mc._draw_uniforms(seed, tag, offset, np.empty(n))
+        drawn = mc._draw_uniforms(seed, tag, offset)(np.empty(n))
         np.testing.assert_array_equal(drawn.view(np.uint64), former.view(np.uint64))
+        # a stream drawn in pieces of any length reads the same words in order
+        draw = mc._draw_uniforms(seed, tag, offset)
+        pieces = [draw(np.empty(m)) for m in (n // 3, 0, n - n // 3 - n // 7, n // 7)]
+        np.testing.assert_array_equal(np.concatenate(pieces).view(np.uint64),
+                                      former.view(np.uint64))
         edges = np.array([0, 2**11 - 1, 2**63, 2**63 + 2**11, 2**63 + 2**12, 2**64 - 2**11,
                           2**64 - 1], dtype=np.uint64)
         both = np.concatenate([words, edges])
@@ -368,31 +373,44 @@ class TestSharedPass:
                  for seed in (1, 2) for lam in (1.0, 2.0, 3.0)]
         monkeypatch.setattr(mc, "_CHUNK_WORDS", 44 * 1_000)  # 44 words a trial at N=20
         simulate_single_fa(*plans)
-        assert len(calls) == 2 * 3
+        # per seed, one run of draws in rising offsets over the stream's words
+        # (3 windows of 3 blocks), however many plans read them
+        for seed in (1, 2):
+            drawn = [(offset, n) for s, _, offset, n in calls if s == seed]
+            ends = np.cumsum([n for _, n in drawn])
+            assert [offset for offset, _ in drawn] == [0, *ends[:-1]]
+            assert ends[-1] == 3_000 * 44
+        assert len(calls) == 2 * 3 * 3
 
     def test_window_memory_allocated_once_per_pass(self, monkeypatch):
-        # 3,000 trials of 44 words in windows of 1,000 trials: each window's
-        # uniforms are drawn into the pass's one buffer and turned into
-        # normals there, by blocks that all reuse one set of work arrays
+        # 3,000 trials of 44 words in windows of 1,000 trials: each block's
+        # uniforms are drawn into spent rows of the pass's one set of work
+        # arrays, and its normals written to the two planes of the pass's one
+        # buffer
         import trackassoc.mc_oracle as mc
 
         outs, calls = [], []
-        draw, box_muller = mc._draw_uniforms, mc._box_muller
-        monkeypatch.setattr(mc, "_draw_uniforms", lambda *a: outs.append(a[3]) or draw(*a))
-        monkeypatch.setattr(mc, "_box_muller",
-                            lambda z, work: calls.append((z, work)) or box_muller(z, work))
+        draw_uniforms, box_muller = mc._draw_uniforms, mc._box_muller
+
+        def spy(*args):
+            draw = draw_uniforms(*args)
+            return lambda out: outs.append(out) or draw(out)
+
+        monkeypatch.setattr(mc, "_draw_uniforms", spy)
+        monkeypatch.setattr(mc, "_box_muller", lambda u, x, y, work: (
+            calls.append((u, x, y, work)) or box_muller(u, x, y, work)))
         monkeypatch.setattr(mc, "_CHUNK_WORDS", 44 * 1_000)
         plans = [TrialPlan(trials=3_000, seed=1, config=ScanConfig(n_scans=20, lam=lam))
                  for lam in (1.0, 2.0)]
         simulate_single_fa(*plans)
-        assert len(outs) == 3
-        assert len(calls) == 3 * 3          # 22,000 pairs a window, 8,192 a block
-        buffer, work = outs[0].base, calls[0][1].base
+        assert len(outs) == len(calls) == 3 * 3  # 22,000 pairs a window, 8,192 a block
+        buffer, work = calls[0][1].base, calls[0][3].base
         assert buffer is not None and work is not None
-        for z in outs + [z for z, _ in calls]:
-            assert np.shares_memory(z, buffer) and z.base is buffer
-        for _, w in calls:
-            assert np.shares_memory(w, work) and w.base is work
+        for u, x, y, w in calls:
+            assert x.base is buffer and y.base is buffer and not np.shares_memory(x, y)
+            assert w.base is work and u.base is work
+        for u in outs:
+            assert np.shares_memory(u, work) and u.base is work
 
     @staticmethod
     def n_grid(seed, trials=5_000):
@@ -543,6 +561,17 @@ class TestCostAlgebra:
             assert shortcut == pytest.approx(direct, abs=1e-9)
 
 
+def planes(normals, width):
+    """The x and y planes of trials ``width`` normals wide, laid out as the pass lays them.
+
+    normals holds whole trials, word j's normal at normals[j]; pair i of a trial
+    goes to column i of each plane, and each plane is a contiguous trials x
+    width/2 array.
+    """
+    pairs = normals.reshape(-1, width // 2, 2)
+    return np.ascontiguousarray(pairs.transpose(2, 0, 1))
+
+
 class TestChunkRows:
     @pytest.mark.parametrize("scans", [(20,), (1,), (17, 18, 19, 20)])
     def test_cost_difference_does_not_depend_on_rows_per_chunk(self, scans):
@@ -551,32 +580,85 @@ class TestChunkRows:
         import trackassoc.mc_oracle as mc
 
         kernel, = mc._kernels(CONFIG, [list(scans)])
-        noise = words_to_normals(philox_words(3, 0, 0, 3000 * 42)).reshape(3000, 42)
+        x, y = planes(words_to_normals(philox_words(3, 0, 0, 3000 * 42)), 42)
         lam = np.linspace(0.5, 2.0, len(scans))[None, :]
-        ref = mc._delta_for_chunk(noise, kernel, lam)
+        ref = mc._delta_for_chunk(x, y, kernel, lam)
         for rows in (1, 3, 64, 1000):
             np.testing.assert_array_equal(np.concatenate(
-                [mc._delta_for_chunk(noise[i:i + rows], kernel, lam)
+                [mc._delta_for_chunk(x[i:i + rows], y[i:i + rows], kernel, lam)
                  for i in range(0, 3000, rows)]), ref)
 
     @pytest.mark.parametrize("n", (20, 21), ids=["padded", "unpadded"])
     @pytest.mark.parametrize("k", (1, 4))
     def test_padded_view_equals_its_contiguous_copy(self, n, k):
         # a trial is 2(N + 1) normals in a row of whole 4-word blocks: 42 of
-        # 44 at N=20, 44 of 44 at N=21; the pass hands out the first 2(N + 1)
-        # columns as a view whose row stride is the row width
+        # 44 at N=20, 44 of 44 at N=21; the pass hands out the first N + 1
+        # columns of each plane as a view whose row stride is half the row width
         import trackassoc.mc_oracle as mc
 
         config = ScanConfig(n_scans=n)
         width = mc._trial_words(config.epochs, False)
         scans = list(range(n - k + 1, n + 1))
         kernel, = mc._kernels(config, [scans])
-        rows = words_to_normals(philox_words(3, 0, 0, 2000 * width)).reshape(2000, width)
-        view = rows[:, :2 * config.epochs]
-        assert view.strides[0] == 8 * width
+        x, y = planes(words_to_normals(philox_words(3, 0, 0, 2000 * width)), width)
+        x, y = x[:, :config.epochs], y[:, :config.epochs]
+        assert x.strides[0] == y.strides[0] == 8 * width // 2
         lam = np.linspace(0.5, 2.0, k)[None, :]
-        np.testing.assert_array_equal(mc._delta_for_chunk(view, kernel, lam),
-                                      mc._delta_for_chunk(view.copy(), kernel, lam))
+        np.testing.assert_array_equal(mc._delta_for_chunk(x, y, kernel, lam),
+                                      mc._delta_for_chunk(x.copy(), y.copy(), kernel, lam))
+
+    @pytest.mark.parametrize("scans", [(40,), (3, 17, 29, 40), (1, 5, 11, 12, 20, 33, 39, 40)],
+                             ids=["K=1", "K=4", "K=8"])
+    @pytest.mark.parametrize("drawn", (False, True), ids=["fixed", "drawn"])
+    def test_planes_equal_the_dense_form(self, scans, drawn):
+        # the planar contraction against q'Mq + 2 q'M eps over both coordinates
+        # of every epoch, with the dense projector, at unequal offsets (fixed,
+        # or a column drawn per trial)
+        import trackassoc.mc_oracle as mc
+        from trackassoc.geometry import build_projector
+
+        config = ScanConfig(n_scans=40)
+        k, trials = len(scans), 4000
+        eps = words_to_normals(philox_words(8, 0, 0, trials * 82)).reshape(trials, 82)
+        lam = (np.linspace(0.5, 3.0, k)[None, :] if not drawn else
+               np.random.default_rng(1).uniform(0.0, 4.0, (trials, 1)))
+        q = np.zeros_like(eps)
+        idx = np.array(scans)
+        q[:, 2 * idx] = -eps[:, 2 * idx]
+        q[:, 2 * idx + 1] = -(lam + eps[:, 2 * idx + 1])
+        m = build_projector(config)
+        dense = (np.einsum("td,de,te->t", q, m, q) + 2.0 * np.einsum("td,de,te->t", q, m, eps))
+        kernel, = mc._kernels(config, [list(scans)])
+        planar = mc._delta_for_chunk(eps[:, 0::2], eps[:, 1::2], kernel, lam)
+        np.testing.assert_allclose(planar, dense, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(np.sign(planar), np.sign(dense))
+
+
+class TestSeedPassPlanes:
+    def test_planes_are_the_normals_of_their_words(self, monkeypatch):
+        # a 40-scan stream of fixed offsets (84 words a trial) and a 20-scan
+        # stream of drawn offsets (44 words: 42 normals and the offset's) in
+        # windows of 10 wide trials, 840 words: no window edge is a multiple of
+        # 44, so a narrow trial is cut at every edge and carried over
+        import trackassoc.mc_oracle as mc
+
+        monkeypatch.setattr(mc, "_CHUNK_WORDS", 84 * 10)
+        streams = {(30, 41, False): 84, (100, 21, True): 44}
+        assert all(mc._trial_words(e, drawn) == w for (_, e, drawn), w in streams.items())
+        assert 840 % 44
+        seed, done = 6, dict.fromkeys(streams, 0)
+        for stream, x, y, z in mc._seed_pass(seed, streams):
+            trials, epochs, drawn = stream
+            width, t0, t = streams[stream], done[stream], x.shape[0]
+            ref = words_to_normals(philox_words(seed, 0, t0 * width, t * width)).reshape(t, width)
+            np.testing.assert_array_equal(x, ref[:, 0:2 * epochs:2])
+            np.testing.assert_array_equal(y, ref[:, 1:2 * epochs:2])
+            if drawn:
+                np.testing.assert_array_equal(z, ref[:, 2 * epochs])
+            else:
+                assert z is None
+            done[stream] += t
+        assert done == {stream: stream[0] for stream in streams}
 
 
 class TestConditionalSampler:
@@ -605,14 +687,16 @@ class TestConditionalSampler:
 
         plan = TrialPlan(trials=70_000, seed=seed, config=CONFIG, scan=20)
         width = mc._trial_words(plan.config.epochs, False)
-        draws = spy_draws(monkeypatch)
+        seen = []                           # one _normals call a window
+        normals = mc._normals
+        monkeypatch.setattr(mc, "_normals", lambda *a: seen.append(a) or normals(*a))
         ref = simulate_conditional((0.3, -0.4), 20, CONFIG, trials=70_000, seed=seed)
         for words, windows in ((width * 70_000, 1), (width * 997 + width // 2, 71)):
-            draws.clear()
+            seen.clear()
             monkeypatch.setattr(mc, "_CHUNK_WORDS", words)
             np.testing.assert_array_equal(
                 simulate_conditional((0.3, -0.4), 20, CONFIG, trials=70_000, seed=seed), ref)
-            assert len(draws) == windows
+            assert len(seen) == windows
 
 
 class TestDtmcSimulation:
@@ -655,7 +739,7 @@ class TestDtmcSimulation:
         import trackassoc.mc_oracle as mc
 
         runs = 300
-        fa = mc._draw_uniforms(12, 2, 0, np.empty(1 << 16)) < p
+        fa = mc._draw_uniforms(12, 2, 0)(np.empty(1 << 16)) < p
         times, run, last = [], 0, False
         for bit in fa:
             run += 1

@@ -10,9 +10,10 @@ read, and nothing is written.
 The benchmark samples the host's speed with a fixed job every 0.1 s while a
 pass runs, and a pass that ends before the first sample gives no result. On a
 faster host the same pass takes less time. For each workload this prints the
-shortest raw pass (a pass's wall time less the speed jobs run inside it), the
-median speed job, and the raw pass projected to the fastest job seen in any of
-the given runs. The projection is taken per run, whose passes ran at about one
+shortest raw pass (a pass's wall time less the speed jobs run inside it) and
+the median raw pass over every timed pass of its runs (the program's own time,
+without the benchmark's scaling to a reference speed), the median speed job,
+and the raw pass projected to the fastest job seen in any of the given runs. The projection is taken per run, whose passes ran at about one
 host speed: the run's shortest raw pass x fastest job / the run's median job,
 and the workload's figure is the smallest over its runs. It exits 1 if that
 is under MARGIN_S or a run left no worker.json (its worker died; at the floor
@@ -33,10 +34,10 @@ RUN_DIR = re.compile(r"(?P<workload>.+)-seed\d+-trace0")
 OUT = Path(__file__).resolve().parent.parent / "benchmarks" / "out"
 
 
-def shortest_pass_and_jobs(run_dir):
-    """The run's shortest raw pass (s) and every speed job (s) its timed passes ran."""
+def raw_passes_and_jobs(run_dir):
+    """The run's raw passes (s) and every speed job (s) its timed passes ran."""
     passes = json.loads((run_dir / "worker.json").read_text())["passes"]
-    return (min(p["wall_s"] - sum(p["calibration_s"]) for p in passes),
+    return ([p["wall_s"] - sum(p["calibration_s"]) for p in passes],
             [job for p in passes for job in p["calibration_s"]])
 
 
@@ -55,7 +56,7 @@ def main(argv=None) -> int:
         timed.setdefault(workload, [])
         died.setdefault(workload, 0)
         if (run / "worker.json").is_file():
-            timed[workload].append(shortest_pass_and_jobs(run))
+            timed[workload].append(raw_passes_and_jobs(run))
         else:
             died[workload] += 1
     jobs = [job for done in timed.values() for _, run_jobs in done for job in run_jobs]
@@ -65,18 +66,19 @@ def main(argv=None) -> int:
     fastest = min(jobs)
     print(f"{len(runs)} runs; fastest calibration job {fastest * 1e3:.2f} ms; "
           f"margin {MARGIN_S} s")
-    print(f"{'workload':<14}{'runs':>6}{'died':>6}{'min raw s':>11}"
+    print(f"{'workload':<14}{'runs':>6}{'died':>6}{'min raw s':>11}{'median raw s':>14}"
           f"{'median job ms':>15}{'projected s':>13}")
     bad = 0
     for workload, done in sorted(timed.items()):
         if done:
             median_job = statistics.median(job for _, run_jobs in done for job in run_jobs)
-            projected = min(raw * fastest / statistics.median(run_jobs)
-                            for raw, run_jobs in done)
-            figures = (f"{min(raw for raw, _ in done):>11.4f}{median_job * 1e3:>15.3f}"
-                       f"{projected:>13.4f}")
+            projected = min(min(raws) * fastest / statistics.median(run_jobs)
+                            for raws, run_jobs in done)
+            raws = [raw for run_raws, _ in done for raw in run_raws]
+            figures = (f"{min(raws):>11.4f}{statistics.median(raws):>14.4f}"
+                       f"{median_job * 1e3:>15.3f}{projected:>13.4f}")
         else:
-            projected, figures = 0.0, f"{'-':>11}{'-':>15}{'-':>13}"
+            projected, figures = 0.0, f"{'-':>11}{'-':>14}{'-':>15}{'-':>13}"
         low = died[workload] > 0 or projected < MARGIN_S
         bad += low
         print(f"{workload:<14}{len(done) + died[workload]:>6}{died[workload]:>6}{figures}"

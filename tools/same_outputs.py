@@ -50,7 +50,8 @@ EXTRA_RUNS = (
 # it computes as a float hex string: sample_moments on two decoy sets at two
 # scan counts; one simulate_single_fa call over plans that mix fixed and drawn
 # offsets, scan counts, seeds and trial counts; one simulate_multi_fa call
-# over decoy sets of one and of three scans; and the three compound laws over
+# over decoy sets of one and of three scans; one over decoy sets of 4 and 8
+# scans with unequal offsets at N = 40 and 200; and the three compound laws over
 # the moment sets of 1, 2 and 8 decoys, one of them with s0_sq = 0, with the
 # compound density of each law and set on a delta grid; every decision-chain
 # function, and the k = 1, 3 and 5 windows, at values of p_fa from 1e-300 (where
@@ -96,6 +97,13 @@ show(simulate_multi_fa(*(
     TrialPlan(trials=5_000 + 500 * k, seed=4, config=ScanConfig(n_scans=n),
               fa=FalseAssocSet(tuple(range(n - k + 1, n + 1)), (lam,) * k))
     for k in (1, 3) for n in (21, 40) for lam in (1.0, 2.5))))
+""",
+    "simulate_multi_fa at K=4 and K=8, unequal offsets": """
+show(simulate_multi_fa(*(
+    TrialPlan(trials=4_000, seed=6, config=ScanConfig(n_scans=n),
+              fa=FalseAssocSet(tuple(n - (n // k) * j for j in reversed(range(k))),
+                               tuple(np.linspace(0.5, 3.5, k) * shift)))
+    for k in (4, 8) for n in (40, 200) for shift in (1.0, 0.6))))
 """,
     "compound laws and densities": """
 deltas = np.linspace(-12.0, 12.0, 49)
