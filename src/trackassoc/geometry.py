@@ -1,20 +1,21 @@
 """Linear track-regression geometry.
 
-A constant-velocity target observed at epochs tau = 0, 1, ..., n_scans gives
-the batch regression z = X b + noise with state b = (x1, y1, vx, vy). The
-epochs are at unit spacing because no other spacing changes a number: a
-spacing dt scales the time column of X by dt, which leaves its column space,
-and so M below, unchanged. All association statistics in this package reduce to
-quadratic forms in the residual projector M = I - X (X'X)^-1 X' and in
-Phi = M S M', where S is the noise covariance with the contaminated 2x2 blocks
-zeroed. Because the x and y coordinates decouple, every 2x2 block of M and Phi
-is a scalar multiple of I2, and the scalars have closed forms in the per-epoch
+A constant-velocity target observed at epochs tau = 0, 1, ..., n_scans gives,
+in each coordinate, the batch regression z = X b + noise with design X = [1, tau]
+and state b = (position at tau = 0, velocity). The x and y coordinates
+decouple: they share this design and have independent unit-variance noise, so
+everything here is of one coordinate. The epochs are at unit spacing because
+no other spacing changes a number: a spacing dt scales the time column of X by
+dt, which leaves its column space, and so M below, unchanged. All association
+statistics in this package reduce to quadratic forms in the residual projector
+M = I - X (X'X)^-1 X' and in Phi = M S M', where S is the identity with the
+contaminated epochs zeroed. Their entries have closed forms in the per-epoch
 leverage
 
     h_l = 2 (2N + 1 - 6l + 6 l^2 / N) / ((N + 1)(N + 2)),   N = n_scans,
 
-namely M_ll = (1 - h_l) I2 and, with a single contaminated epoch,
-Phi_ll = h_l (1 - h_l) I2. Both are cross-checked against the dense matrices in
+namely M_ll = 1 - h_l and, with a single contaminated epoch,
+Phi_ll = h_l (1 - h_l). Both are cross-checked against the dense matrices in
 the test suite.
 """
 
@@ -72,14 +73,9 @@ def _check_scan(l, config):
 
 
 def build_design(config: ScanConfig) -> np.ndarray:
-    """2*epochs x 4 design matrix; epoch j contributes the row pair [I2 | j*I2]."""
+    """epochs x 2 design matrix of one coordinate; epoch j contributes the row [1, j]."""
     taus = np.arange(config.epochs, dtype=float)
-    X = np.zeros((2 * config.epochs, 4))
-    X[0::2, 0] = 1.0
-    X[1::2, 1] = 1.0
-    X[0::2, 2] = taus
-    X[1::2, 3] = taus
-    return X
+    return np.column_stack((np.ones_like(taus), taus))
 
 
 def build_projector(config: ScanConfig) -> np.ndarray:
@@ -87,13 +83,13 @@ def build_projector(config: ScanConfig) -> np.ndarray:
 
     Each call builds a fresh array, so a caller may write into it. The hat
     matrix H is turned into M = I - H in place, so the build holds one
-    2 epochs x 2 epochs array: 0 - H (not -H, which would give -0 where H has
+    epochs x epochs array: 0 - H (not -H, which would give -0 where H has
     an exact zero) and then + 1 on the diagonal, bit for bit I - H.
 
     No conditioning check runs: X has full column rank for every ScanConfig
     (N + 1 >= 6 distinct epochs), and cond(X'X) grows as about 4 N^2 / 3
     (5.3e4 at N = 200). It would pass 1e12 only near N = 8.7e5, where M alone
-    would take about 24 TB. The test suite checks the growth.
+    would take about 6 TB. The test suite checks the growth.
     """
     X = build_design(config)
     projector = X @ np.linalg.solve(X.T @ X, X.T)
@@ -103,12 +99,12 @@ def build_projector(config: ScanConfig) -> np.ndarray:
 
 
 def _hat(l, m, N):
-    """Scalar of the hat-matrix block (X (X'X)^-1 X')_{lm}, closed form."""
+    """Entry (l, m) of the hat matrix X (X'X)^-1 X', closed form."""
     return 2.0 * (2 * N + 1 - 3 * m - 3 * l + 6 * l * m / N) / ((N + 1) * (N + 2))
 
 
 def leverage(l, config: ScanConfig) -> float:
-    """Scalar leverage of epoch l (per coordinate), closed form."""
+    """Leverage of epoch l, the hat matrix's diagonal entry, closed form."""
     _check_scan(l, config)
     return _hat(l, l, config.n_scans)
 
@@ -120,7 +116,7 @@ def diag_coeffs(l, config: ScanConfig) -> DiagBlockCoeffs:
 
 
 def cross_alpha(lk, lk2, config: ScanConfig) -> float:
-    """Scalar of the projector block M_{lk,lk2}; symmetric in its indices."""
+    """Projector entry M_{lk,lk2}; symmetric in its indices."""
     _check_scan(lk, config)
     _check_scan(lk2, config)
     return (1.0 if lk == lk2 else 0.0) - _hat(lk, lk2, config.n_scans)
@@ -142,9 +138,9 @@ def _excluded_sums(fa_indices, config):
 
 
 def cross_theta(lk, lk2, fa_indices, config: ScanConfig) -> float:
-    """Scalar of the Phi block at (lk, lk2) for the contaminated-index set.
+    """Entry (lk, lk2) of Phi for the contaminated-index set.
 
-    Phi = M S M' with S the identity noise covariance zeroed on every block in
+    Phi = M S M' with S the identity noise covariance zeroed at every epoch in
     fa_indices. Equals the excluded-epoch sum form; for a single index it
     reduces exactly to diag_coeffs(l).beta.
     """

@@ -10,12 +10,11 @@ the dense residual projector -- never through the closed-form coefficients
 under test -- and the brute-force least-squares route is cross-checked in the
 test suite. Each plan's decoy rows are resolved once, before any noise is
 drawn, and the dense projector is let go (one is built per distinct N). The
-projector is M_E (x) I2: its x and y blocks are equal and its cross-coordinate
-entries are 0, bit for bit (tested). So the noise is kept in two planes, the
-x and the y coordinate of every epoch, and both are read through one K x
-epochs block of M's x rows. Each trial's projections are summed on their own
-(einsum, not BLAS), so no sample, and no count, depends on how many trials
-share a chunk.
+noise is kept in two planes, the x and the y coordinate of every epoch, and
+the coordinates decouple (see ``geometry``), so both planes are read through
+the same K x epochs block of the projector's decoy rows. Each trial's
+projections are summed on their own (einsum, not BLAS), so no sample, and no
+count, depends on how many trials share a chunk.
 
 Normals: words 2i and 2i+1 give uniforms u1, u2 in (0, 1] (the top 53 bits m,
 as (m + 1/2) 2^-53 rounded to double: on [0.5, 1) that rounds to an even
@@ -143,20 +142,17 @@ class MomentSample:
     v1_var_se: float
 
 
-def _draw_uniforms(seed, tag, word_offset):
+def _draw_uniforms(seed, tag):
     """A function draw(out) that fills out with uniforms in (0, 1] of (seed, tag)'s words.
 
-    Successive calls read the words in order from word_offset on, one per
-    entry of out, and return out. Word w gives (m + 1/2) 2^-53, m = w >> 11
+    Successive calls read the words in order from word 0 on, one per entry of
+    out, and return out. Word w gives (m + 1/2) 2^-53, m = w >> 11
     its top 53 bits: Generator.random writes m 2^-53 (exact) and adding 2^-54
     rounds the sum once. On [0.5, 1) that is an even multiple of 2^-53 (so
     m = 2^52 + 1 and 2^52 + 2 give the same u), and m = 2^53 - 1 (words from
     2^64 - 2^11 up) gives exactly 1. The least is 2^-54, at m = 0.
     """
-    if word_offset % 4:
-        raise ValueError("word offsets must be multiples of 4")
-    generator = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(tag)],
-                                                     counter=[word_offset // 4, 0, 0, 0]))
+    generator = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(tag)]))
 
     def draw(out):
         generator.random(out=out)
@@ -262,7 +258,7 @@ def _seed_pass(seed, streams):
     window = max(1, _CHUNK_WORDS // widest) * widest
     planes = np.empty((2, (window + widest) // 2))
     work = _box_muller_work(min(window, end) // 2)
-    draw = _draw_uniforms(seed, 0, 0)
+    draw = _draw_uniforms(seed, 0)
     start = dict.fromkeys(widths, 0)       # first word of each stream's next trial
     kept = 0                               # pairs carried over at the planes' front
     for lo in range(0, end, window):
@@ -291,17 +287,15 @@ def _kernels(config, scan_sets):
     """What the cost difference reads of the projector M: a kernel per scan set.
 
     A kernel is (scans, b, a) for decoys at the set's scans: the scans as an
-    index array, b = M at their x rows 2l and every x column (K x epochs,
-    contiguous) and a = b at the decoys' own columns (K x K). The y rows and
-    columns give the same blocks, and the cross-coordinate entries are 0 (see
-    the module docstring). One dense M at config's N serves every set and is
-    let go on return.
+    index array, b = M's rows at them (K x epochs) and a = b at the decoys' own
+    columns (K x K). One dense M at config's N serves every set and is let go
+    on return.
     """
     projector = build_projector(config)
     kernels = []
     for scans in scan_sets:
         scans = np.array(scans, dtype=np.intp)
-        b = np.ascontiguousarray(projector[2 * scans, 0::2])
+        b = projector[scans]
         kernels.append((scans, b, b[:, scans]))
     return kernels
 
@@ -416,10 +410,10 @@ def sample_moments(plan: TrialPlan) -> MomentSample:
 
     m1 and v1 are evaluated from the decoy rows of the dense projector M,
     keeping the oracle independent of the closed-form sums it validates: with
-    B = M at the decoys' x rows and x columns, A = B at the decoys' columns and
-    Phi_S = M S M = (B keep) B' per coordinate, where keep zeroes the decoy
-    epochs (M is symmetric, and its x and y blocks are equal). The stream is
-    the one ``simulate_multi_fa`` reads for the same plan.
+    B = M's rows at the decoys, A = B at the decoys' columns and
+    Phi_S = M S M = (B keep) B', where keep zeroes the decoy epochs (M is
+    symmetric). The stream is the one ``simulate_multi_fa`` reads for the same
+    plan.
     """
     _require_fa([plan])
     m1_parts, v1_parts = [], []
@@ -489,7 +483,7 @@ def simulate_dtmc(dtmc: AssocDTMC, steps: int, runs: int, seed: int) -> DtmcSimS
         raise ValueError(f"{runs} absorption runs at p_fa = {p_fa} need about "
                          "runs (1 + p_fa) / p_fa^2 decisions, over 2**30")
 
-    bits = (_draw_uniforms(seed, 1, 0)(np.empty(steps)) < p_fa).astype(np.int8)
+    bits = (_draw_uniforms(seed, 1)(np.empty(steps)) < p_fa).astype(np.int8)
     states = 2 * bits[:-1] + bits[1:]
     occupancy = np.bincount(states, minlength=4).astype(float) / states.shape[0]
     visits = np.flatnonzero(states == 3)
@@ -506,7 +500,7 @@ def simulate_dtmc(dtmc: AssocDTMC, steps: int, runs: int, seed: int) -> DtmcSimS
                             absorption_se=math.inf)
 
     index = np.arange(_WALK_BLOCK)
-    draw = _draw_uniforms(seed, 2, 0)
+    draw = _draw_uniforms(seed, 2)
     ends, found, carry, offset = [], 0, 0, 0
     while found < runs:
         fa = draw(np.empty(_WALK_BLOCK)) < p_fa

@@ -85,8 +85,8 @@ def spy_draws(monkeypatch):
     calls = []
     draw_uniforms = mc._draw_uniforms
 
-    def spy(seed, tag, word_offset):
-        draw, offset = draw_uniforms(seed, tag, word_offset), word_offset
+    def spy(seed, tag):
+        draw, offset = draw_uniforms(seed, tag), 0
 
         def spied(out):
             nonlocal offset

@@ -46,10 +46,10 @@ def test_criterion_01_projection_identities():
     worst = 0.0
     for n in (5, 10, 20, 40, 80):
         config = ScanConfig(n_scans=n)
-        m = build_projector(config)
+        m = np.kron(build_projector(config), np.eye(2))     # both coordinates, (x, y) per epoch
         worst = max(worst,
                     float(np.abs(m @ m - m).max()),
-                    float(np.abs(m @ build_design(config)).max()),
+                    float(np.abs(m @ np.kron(build_design(config), np.eye(2))).max()),
                     abs(float(np.trace(m)) - (2 * config.epochs - 4)))
     _check(1, "projection identities", worst <= 1e-10, f"worst residual {worst:.2e}")
 
@@ -60,7 +60,7 @@ def test_criterion_02_closed_form_vs_numeric_geometry():
     offsets = []
     for n in (10, 20, 40):
         config = ScanConfig(n_scans=n)
-        m = build_projector(config)
+        m = np.kron(build_projector(config), np.eye(2))     # both coordinates, (x, y) per epoch
         for l in (1, (n + 1) // 2, n):
             block = m[2 * l:2 * l + 2, 2 * l:2 * l + 2]
             coeffs = diag_coeffs(l, config)
@@ -204,7 +204,7 @@ def test_criterion_09_kinematic_invariance():
     # track (x, y per epoch) is built from the epoch times, not from the design
     config = ScanConfig(n_scans=20, lam=2.0)
     l = 20
-    x = build_design(config)
+    x = np.kron(build_design(config), np.eye(2))        # both coordinates, (x, y) per epoch
     taus = np.arange(config.epochs, dtype=float)
     noise = np.random.default_rng(42).standard_normal((2 * config.epochs, 10_000))
 

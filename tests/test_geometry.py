@@ -14,20 +14,34 @@ GRID_N = (5, 10, 20, 40, 80)
 def scaled_projector(n_scans, dt):
     """Residual projector of the design with epochs at times 0, dt, ..., n_scans*dt (via QR)."""
     taus = np.arange(n_scans + 1) * dt
-    x = np.zeros((2 * (n_scans + 1), 4))
-    x[0::2, 0] = x[1::2, 1] = 1.0
-    x[0::2, 2] = x[1::2, 3] = taus
+    x = np.column_stack((np.ones_like(taus), taus))
     q, _ = np.linalg.qr(x)
     return np.eye(x.shape[0]) - q @ q.T
 
 
 def numeric_phi(config, indices, m=None):
     m = build_projector(config) if m is None else m
-    sel = np.eye(2 * config.epochs)
+    sel = np.eye(config.epochs)
     for l in indices:
-        sel[2 * l, 2 * l] = 0.0
-        sel[2 * l + 1, 2 * l + 1] = 0.0
+        sel[l, l] = 0.0
     return m @ sel @ m
+
+
+def interleaved_projector(config):
+    """The projector of both coordinates at once, built as one 2 epochs x 2 epochs array.
+
+    The state is (x1, y1, vx, vy) and epoch j contributes the row pair
+    [I2 | j I2], x in row 2j and y in row 2j + 1; the hat matrix H is turned
+    into I - H in place, as ``build_projector`` does.
+    """
+    taus = np.arange(config.epochs, dtype=float)
+    x = np.zeros((2 * config.epochs, 4))
+    x[0::2, 0] = x[1::2, 1] = 1.0
+    x[0::2, 2] = x[1::2, 3] = taus
+    m = x @ np.linalg.solve(x.T @ x, x.T)
+    np.subtract(0.0, m, out=m)
+    m.flat[::m.shape[0] + 1] += 1.0
+    return m
 
 
 class TestScanConfig:
@@ -54,20 +68,17 @@ class TestScanConfig:
 class TestDesign:
     def test_first_two_epoch_blocks(self):
         x = build_design(ScanConfig(n_scans=5))
-        expected = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1]],
-                            dtype=float)
-        np.testing.assert_array_equal(x[:4], expected)
+        np.testing.assert_array_equal(x[:2], np.array([[1, 0], [1, 1]], dtype=float))
 
     def test_time_scaling(self):
         # epoch j sits at tau = j
         x = build_design(ScanConfig(n_scans=5))
-        np.testing.assert_array_equal(x[0::2, 2], np.arange(6.0))
-        np.testing.assert_array_equal(x[1::2, 3], np.arange(6.0))
+        np.testing.assert_array_equal(x[:, 1], np.arange(6.0))
 
     @pytest.mark.parametrize("n", GRID_N)
     def test_full_column_rank(self, n):
         x = build_design(ScanConfig(n_scans=n))
-        assert np.linalg.matrix_rank(x) == 4
+        assert np.linalg.matrix_rank(x) == 2
 
 
 class TestProjector:
@@ -86,12 +97,12 @@ class TestProjector:
         assert np.abs(m - m.T).max() <= 1e-10
         assert np.abs(m @ m - m).max() <= 1e-10
         assert np.abs(m @ build_design(config)).max() <= 1e-10
-        assert abs(np.trace(m) - (2 * config.epochs - 4)) <= 1e-10
+        assert abs(np.trace(m) - (config.epochs - 2)) <= 1e-10
 
     def test_trace_value_n10(self):
-        # 22 rows minus the 4 fitted parameters
+        # 11 rows minus the 2 fitted parameters
         m = build_projector(ScanConfig(n_scans=10))
-        assert np.trace(m) == pytest.approx(18.0, abs=1e-10)
+        assert np.trace(m) == pytest.approx(9.0, abs=1e-10)
 
     def test_bit_for_bit_identity_minus_hat(self):
         # compared as integers, so a -0 where I - H has +0 fails
@@ -101,13 +112,19 @@ class TestProjector:
             m = build_projector(ScanConfig(n_scans=n))
             assert np.array_equal(m.view(np.uint64), expected.view(np.uint64)), n
 
-    @pytest.mark.parametrize("n", (5, 20, 40, 200))
-    def test_coordinates_decouple_bit_for_bit(self, n):
-        # M = M_E (x) I2 exactly: the Monte Carlo oracle reads both coordinates'
-        # noise through the x block alone (mc_oracle._kernels)
-        m = build_projector(ScanConfig(n_scans=n))
-        assert np.all(m[0::2, 1::2] == 0.0) and np.all(m[1::2, 0::2] == 0.0)
-        assert np.array_equal(m[0::2, 0::2].view(np.uint64), m[1::2, 1::2].view(np.uint64))
+    @pytest.mark.parametrize("ns", (range(5, 20), range(20, 40), range(40, 200), range(200, 201)),
+                             ids=lambda ns: str(ns.start))
+    def test_coordinates_decouple_bit_for_bit(self, ns):
+        # the projector of both coordinates at once has the per-coordinate
+        # projector as its x and y blocks and +0 as every cross entry, bit for
+        # bit, at every N from 5 to 200: one coordinate's projector serves both
+        for n in ns:
+            config = ScanConfig(n_scans=n)
+            m, both = build_projector(config), interleaved_projector(config)
+            for coord in (0, 1):
+                block = both[coord::2, coord::2]
+                assert np.array_equal(block.view(np.uint64), m.view(np.uint64)), (n, coord)
+                assert not both[coord::2, 1 - coord::2].view(np.uint64).any(), (n, coord)
 
     def test_normal_matrix_is_well_conditioned(self):
         # build_projector checks no conditioning: cond(X'X) grows as 4 N^2 / 3,
@@ -130,7 +147,7 @@ class TestProjector:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * (2 * config.epochs) ** 2 * 8
+        assert peak <= 1.1 * config.epochs ** 2 * 8
 
 
 class TestDiagCoeffs:
@@ -140,8 +157,7 @@ class TestDiagCoeffs:
         m = build_projector(config)
         for l in (1, n // 2, n):
             c = diag_coeffs(l, config)
-            block = m[2 * l:2 * l + 2, 2 * l:2 * l + 2]
-            np.testing.assert_allclose(block, (-c.alpha) * np.eye(2), rtol=0, atol=1e-8)
+            np.testing.assert_allclose(m[l, l], -c.alpha, rtol=0, atol=1e-8)
 
     def test_alpha_last_scan_closed_form(self):
         for n in GRID_N:
@@ -163,9 +179,8 @@ class TestDiagCoeffs:
         config = ScanConfig(n_scans=n)
         for l in (1, n // 2, n):
             phi = numeric_phi(config, [l])
-            block = phi[2 * l:2 * l + 2, 2 * l:2 * l + 2]
             beta = diag_coeffs(l, config).beta
-            np.testing.assert_allclose(block, beta * np.eye(2), rtol=0, atol=1e-8)
+            np.testing.assert_allclose(phi[l, l], beta, rtol=0, atol=1e-8)
 
     def test_beta_positive_and_dt_invariant(self):
         # the coefficients are those of the projector at any epoch spacing
@@ -175,8 +190,8 @@ class TestDiagCoeffs:
         for dt in (0.5, 1.0, 2.0):
             m = scaled_projector(40, dt)
             phi = numeric_phi(config, [13], m)
-            assert phi[26, 26] == pytest.approx(c.beta, rel=1e-10)
-            assert -m[26, 26] == pytest.approx(c.alpha, rel=1e-12)
+            assert phi[13, 13] == pytest.approx(c.beta, rel=1e-10)
+            assert -m[13, 13] == pytest.approx(c.alpha, rel=1e-12)
 
     def test_beta_asymptote_last_scan(self):
         # beta(l=N) ~ 4/N for large N; within 10% by N=100
@@ -184,17 +199,18 @@ class TestDiagCoeffs:
         assert abs(4.0 / 100 - beta) / beta < 0.10
 
     def test_quadratic_form_identity(self):
-        # (e-fa)' Phi (e-fa) = beta * |e-fa|^2 for vectors supported on scan l
+        # (e-fa)' Phi (e-fa) = beta * |e-fa|^2 for vectors supported on scan l,
+        # summed over the x and y coordinates (the columns of q)
         config = ScanConfig(n_scans=20)
         l = 7
         phi = numeric_phi(config, [l])
         beta = diag_coeffs(l, config).beta
         rng = np.random.default_rng(123)
         for _ in range(25):
-            q = np.zeros(2 * config.epochs)
-            q[2 * l:2 * l + 2] = rng.standard_normal(2)
-            lhs = q @ phi @ q
-            assert lhs == pytest.approx(beta * (q @ q), abs=1e-8)
+            q = np.zeros((config.epochs, 2))
+            q[l] = rng.standard_normal(2)
+            lhs = np.einsum("ic,ij,jc->", q, phi, q)
+            assert lhs == pytest.approx(beta * (q * q).sum(), abs=1e-8)
 
     def test_scan_index_bounds(self):
         config = ScanConfig(n_scans=10)
@@ -253,7 +269,7 @@ class TestCrossCoeffs:
         m = build_projector(config)
         for a in range(1, 13):
             for b in range(1, 13):
-                assert cross_alpha(a, b, config) == pytest.approx(m[2 * a, 2 * b], abs=1e-10)
+                assert cross_alpha(a, b, config) == pytest.approx(m[a, b], abs=1e-10)
 
     def test_cross_theta_matches_numeric_phi(self):
         config = ScanConfig(n_scans=40)
@@ -262,7 +278,7 @@ class TestCrossCoeffs:
         for a in indices:
             for b in indices:
                 assert cross_theta(a, b, indices, config) == pytest.approx(
-                    phi[2 * a, 2 * b], abs=1e-10)
+                    phi[a, b], abs=1e-10)
 
     def test_cross_theta_single_index_equals_beta(self):
         config = ScanConfig(n_scans=40)

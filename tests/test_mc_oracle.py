@@ -133,12 +133,14 @@ class TestBoxMuller:
 
         words = philox_words(seed, tag, offset, n)
         former = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        drawn = mc._draw_uniforms(seed, tag, offset)(np.empty(n))
+        total = offset + n      # a draw reads its stream from word 0
+        drawn = mc._draw_uniforms(seed, tag)(np.empty(total))[offset:]
         np.testing.assert_array_equal(drawn.view(np.uint64), former.view(np.uint64))
         # a stream drawn in pieces of any length reads the same words in order
-        draw = mc._draw_uniforms(seed, tag, offset)
-        pieces = [draw(np.empty(m)) for m in (n // 3, 0, n - n // 3 - n // 7, n // 7)]
-        np.testing.assert_array_equal(np.concatenate(pieces).view(np.uint64),
+        draw = mc._draw_uniforms(seed, tag)
+        pieces = [draw(np.empty(m))
+                  for m in (total // 3, 0, total - total // 3 - total // 7, total // 7)]
+        np.testing.assert_array_equal(np.concatenate(pieces)[offset:].view(np.uint64),
                                       former.view(np.uint64))
         edges = np.array([0, 2**11 - 1, 2**63, 2**63 + 2**11, 2**63 + 2**12, 2**64 - 2**11,
                           2**64 - 1], dtype=np.uint64)
@@ -529,6 +531,19 @@ class TestSharedPass:
         assert simulate_single_fa(plan) == [ref]
         assert ref.p_hat == 0.7932        # a zeroed projector reads 1.0
 
+    def test_kernel_rows_are_the_projector_rows(self):
+        # a kernel reads the per-coordinate projector's decoy rows as they are
+        import trackassoc.mc_oracle as mc
+        from trackassoc.geometry import build_projector
+
+        scan_sets = [[20], [3, 9, 14, 20], [20, 1, 12, 11, 17, 5, 19, 8]]
+        m = build_projector(CONFIG)
+        for scans, (idx, b, a) in zip(scan_sets, mc._kernels(CONFIG, scan_sets)):
+            np.testing.assert_array_equal(idx, scans)
+            for row, l in zip(b, scans):
+                assert np.array_equal(row.view(np.uint64), m[l].view(np.uint64)), l
+            assert np.array_equal(a.view(np.uint64), m[np.ix_(scans, scans)].view(np.uint64))
+
 
 class TestCostAlgebra:
     @pytest.mark.parametrize("state", [(3.0, -2.0, 0.0, 0.0), (5.0, -3.0, 100.0, 37.0)],
@@ -536,28 +551,29 @@ class TestCostAlgebra:
     def test_projector_route_equals_direct_regression(self, state):
         # the sparse quadratic-form shortcut must reproduce, draw for draw, the
         # cost difference of two full least-squares fits, whatever the target's
-        # origin (x1, y1) and velocity (vx, vy)
+        # origin (x1, y1) and velocity (vx, vy); the columns of truth, eps and
+        # q are the x and y coordinates, each fitted and projected on its own
         from trackassoc.geometry import ScanConfig, build_design
         n, l, lam = 8, 5, 1.7
         config = ScanConfig(n_scans=n, lam=lam)
         x = build_design(config)
-        truth = x @ np.array(state)
+        truth = x @ np.array(state).reshape(2, 2)
+        offset = np.array([0.0, lam])
         rng = np.random.default_rng(77)
         from trackassoc.geometry import build_projector
         m = build_projector(config)
         for _ in range(200):
-            eps = rng.standard_normal(2 * config.epochs)
+            eps = rng.standard_normal(2 * config.epochs).reshape(config.epochs, 2)
             z_ca = truth + eps
             z_fa = z_ca.copy()
-            z_fa[2 * l] = truth[2 * l]
-            z_fa[2 * l + 1] = truth[2 * l + 1] - lam
+            z_fa[l] = truth[l] - offset
             r_ca = z_ca - x @ np.linalg.lstsq(x, z_ca, rcond=None)[0]
             r_fa = z_fa - x @ np.linalg.lstsq(x, z_fa, rcond=None)[0]
-            direct = r_fa @ r_fa - r_ca @ r_ca
-            q = np.zeros(2 * config.epochs)
-            q[2 * l] = -eps[2 * l]
-            q[2 * l + 1] = -lam - eps[2 * l + 1]
-            shortcut = q @ m @ q + 2.0 * q @ m @ eps
+            direct = (r_fa * r_fa).sum() - (r_ca * r_ca).sum()
+            q = np.zeros_like(eps)
+            q[l] = -offset - eps[l]
+            shortcut = (np.einsum("ic,ij,jc->", q, m, q)
+                        + 2.0 * np.einsum("ic,ij,jc->", q, m, eps))
             assert shortcut == pytest.approx(direct, abs=1e-9)
 
 
@@ -611,25 +627,26 @@ class TestChunkRows:
                              ids=["K=1", "K=4", "K=8"])
     @pytest.mark.parametrize("drawn", (False, True), ids=["fixed", "drawn"])
     def test_planes_equal_the_dense_form(self, scans, drawn):
-        # the planar contraction against q'Mq + 2 q'M eps over both coordinates
-        # of every epoch, with the dense projector, at unequal offsets (fixed,
+        # the planar contraction against q'Mq + 2 q'M eps summed over the x and
+        # y coordinates, with the dense projector, at unequal offsets (fixed,
         # or a column drawn per trial)
         import trackassoc.mc_oracle as mc
         from trackassoc.geometry import build_projector
 
         config = ScanConfig(n_scans=40)
         k, trials = len(scans), 4000
-        eps = words_to_normals(philox_words(8, 0, 0, trials * 82)).reshape(trials, 82)
+        x, y = planes(words_to_normals(philox_words(8, 0, 0, trials * 82)), 82)
         lam = (np.linspace(0.5, 3.0, k)[None, :] if not drawn else
                np.random.default_rng(1).uniform(0.0, 4.0, (trials, 1)))
-        q = np.zeros_like(eps)
+        qx, qy = np.zeros_like(x), np.zeros_like(y)
         idx = np.array(scans)
-        q[:, 2 * idx] = -eps[:, 2 * idx]
-        q[:, 2 * idx + 1] = -(lam + eps[:, 2 * idx + 1])
+        qx[:, idx] = -x[:, idx]
+        qy[:, idx] = -(lam + y[:, idx])
         m = build_projector(config)
-        dense = (np.einsum("td,de,te->t", q, m, q) + 2.0 * np.einsum("td,de,te->t", q, m, eps))
+        dense = sum(np.einsum("td,de,te->t", q, m, q) + 2.0 * np.einsum("td,de,te->t", q, m, e)
+                    for q, e in ((qx, x), (qy, y)))
         kernel, = mc._kernels(config, [list(scans)])
-        planar = mc._delta_for_chunk(eps[:, 0::2], eps[:, 1::2], kernel, lam)
+        planar = mc._delta_for_chunk(x, y, kernel, lam)
         np.testing.assert_allclose(planar, dense, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(np.sign(planar), np.sign(dense))
 
@@ -739,7 +756,7 @@ class TestDtmcSimulation:
         import trackassoc.mc_oracle as mc
 
         runs = 300
-        fa = mc._draw_uniforms(12, 2, 0)(np.empty(1 << 16)) < p
+        fa = mc._draw_uniforms(12, 2)(np.empty(1 << 16)) < p
         times, run, last = [], 0, False
         for bit in fa:
             run += 1

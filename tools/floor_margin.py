@@ -4,8 +4,8 @@ Usage: python tools/floor_margin.py [RUN_DIR ...]
 
 A RUN_DIR is one ``benchmarks/out/<workload>-seed<n>-trace0`` directory, as
 ``benchmarks/run.py --trace 0`` leaves it; with none given, every such
-directory under ``benchmarks/out`` is read. Only each run's ``worker.json`` is
-read, and nothing is written.
+directory under ``benchmarks/out`` is read. Each run's ``worker.json`` is read,
+and its worker logs when it has none; nothing is written.
 
 The benchmark samples the host's speed with a fixed job every 0.1 s while a
 pass runs, and a pass that ends before the first sample gives no result. On a
@@ -15,9 +15,12 @@ the median raw pass over every timed pass of its runs (the program's own time,
 without the benchmark's scaling to a reference speed), the median speed job,
 and the raw pass projected to the fastest job seen in any of the given runs. The projection is taken per run, whose passes ran at about one
 host speed: the run's shortest raw pass x fastest job / the run's median job,
-and the workload's figure is the smallest over its runs. It exits 1 if that
-is under MARGIN_S or a run left no worker.json (its worker died; at the floor
-its worker.log says "no speed sample").
+and the workload's figure is the smallest over its runs. A run with no
+worker.json died if one of its worker logs (``worker.log``, or a probe's) holds
+a traceback, as at the floor, where it ends in "no speed sample"; any other
+such run is unfinished (still running, or killed), and is counted but left out
+of the figures and the exit code. It exits 1 if a workload's figure is under
+MARGIN_S or one of its runs died.
 """
 
 from __future__ import annotations
@@ -41,12 +44,18 @@ def raw_passes_and_jobs(run_dir):
             [job for p in passes for job in p["calibration_s"]])
 
 
+def died(run_dir):
+    """Whether the run's worker, or one of its probes, ended in a traceback."""
+    logs = [run_dir / "worker.log", *run_dir.glob("probe-*/worker.log")]
+    return any(log.is_file() and "Traceback" in log.read_text() for log in logs)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("runs", nargs="*", type=Path)
     args = parser.parse_args(argv)
     runs = args.runs or sorted(p for p in OUT.glob("*-seed*-trace0") if p.is_dir())
-    timed, died = {}, {}
+    timed, dead, unfinished = {}, {}, {}
     for run in runs:
         match = RUN_DIR.fullmatch(run.name)
         if not match or not run.is_dir():
@@ -54,11 +63,14 @@ def main(argv=None) -> int:
             return 2
         workload = match["workload"]
         timed.setdefault(workload, [])
-        died.setdefault(workload, 0)
+        dead.setdefault(workload, 0)
+        unfinished.setdefault(workload, 0)
         if (run / "worker.json").is_file():
             timed[workload].append(raw_passes_and_jobs(run))
+        elif died(run):
+            dead[workload] += 1
         else:
-            died[workload] += 1
+            unfinished[workload] += 1
     jobs = [job for done in timed.values() for _, run_jobs in done for job in run_jobs]
     if not jobs:
         print("no timed pass found", file=sys.stderr)
@@ -66,8 +78,8 @@ def main(argv=None) -> int:
     fastest = min(jobs)
     print(f"{len(runs)} runs; fastest calibration job {fastest * 1e3:.2f} ms; "
           f"margin {MARGIN_S} s")
-    print(f"{'workload':<14}{'runs':>6}{'died':>6}{'min raw s':>11}{'median raw s':>14}"
-          f"{'median job ms':>15}{'projected s':>13}")
+    print(f"{'workload':<14}{'runs':>6}{'died':>6}{'unfinished':>12}{'min raw s':>11}"
+          f"{'median raw s':>14}{'median job ms':>15}{'projected s':>13}")
     bad = 0
     for workload, done in sorted(timed.items()):
         if done:
@@ -78,10 +90,11 @@ def main(argv=None) -> int:
             figures = (f"{min(raws):>11.4f}{statistics.median(raws):>14.4f}"
                        f"{median_job * 1e3:>15.3f}{projected:>13.4f}")
         else:
-            projected, figures = 0.0, f"{'-':>11}{'-':>14}{'-':>15}{'-':>13}"
-        low = died[workload] > 0 or projected < MARGIN_S
+            projected, figures = None, f"{'-':>11}{'-':>14}{'-':>15}{'-':>13}"
+        low = dead[workload] > 0 or (projected is not None and projected < MARGIN_S)
         bad += low
-        print(f"{workload:<14}{len(done) + died[workload]:>6}{died[workload]:>6}{figures}"
+        count = len(done) + dead[workload] + unfinished[workload]
+        print(f"{workload:<14}{count:>6}{dead[workload]:>6}{unfinished[workload]:>12}{figures}"
               f"{'  UNDER MARGIN' if low else ''}")
     return 1 if bad else 0
 

@@ -55,8 +55,10 @@ EXTRA_RUNS = (
 # the moment sets of 1, 2 and 8 decoys, one of them with s0_sq = 0, with the
 # compound density of each law and set on a delta grid; every decision-chain
 # function, and the k = 1, 3 and 5 windows, at values of p_fa from 1e-300 (where
-# p_fa^2 underflows) to 1 - 1e-12; and every statistic of simulate_dtmc at four
-# values of p_fa from 0 to 1.
+# p_fa^2 underflows) to 1 - 1e-12; every statistic of simulate_dtmc at four
+# values of p_fa from 0 to 1; and, past the CLI's cap N = 200 (where the
+# projector's last bits may depend on how it is built), simulate_single_fa at
+# N = 250 and 400 and sample_moments at N = 300.
 _LIBRARY_IMPORTS = """
 from dataclasses import replace
 
@@ -118,6 +120,13 @@ for n, k in ((20, 1), (40, 2), (40, 8)):
     for mp in mps:
         for law in ("chi2", "normal", "exponential"):
             print(*(float(v).hex() for v in compound_density(mp, law, K=k)(deltas)))
+""",
+    "past the CLI's scan cap": """
+show(simulate_single_fa(*(TrialPlan(trials=3_000, seed=9, config=ScanConfig(n_scans=n, lam=1.5))
+                          for n in (250, 400))))
+sample = sample_moments(TrialPlan(trials=3_000, seed=9, config=ScanConfig(n_scans=300),
+                                  fa=FalseAssocSet((150, 299, 300), (0.5, 2.0, 3.0))))
+print(*(float(v).hex() for v in vars(sample).values()))
 """,
     "decision chain": """
 starts = ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
