@@ -21,7 +21,7 @@ import numpy as np
 
 from . import dtmc as dtmc_mod
 from . import mc_oracle, multi_fa, single_fa, tabulated
-from .geometry import ScanConfig, _check_scan
+from .geometry import ScanConfig
 from .quadrature import IntegrationError
 
 
@@ -66,15 +66,13 @@ def _validate(spec: ExperimentSpec) -> ExperimentSpec:
     """Check the bounds the CLI sets; the library's own checks cover the rest."""
     if spec.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {spec.experiment!r}")
-    scan = spec.scan or spec.n_scans
     if spec.n_steps > MAX_N_STEPS:
         raise ConfigError(f"n_steps must be <= {MAX_N_STEPS}")
     if not 0 <= spec.steps <= MAX_STEPS:
         raise ConfigError(f"steps must lie in [0, {MAX_STEPS}]")
     try:
-        config = ScanConfig(n_scans=spec.n_scans)
-        _check_scan(scan, config)
-        mc_oracle.TrialPlan(trials=spec.trials, seed=spec.seed, config=config)
+        mc_oracle.TrialPlan(trials=spec.trials, seed=spec.seed,
+                            config=ScanConfig(n_scans=spec.n_scans), scan=spec.scan or None)
         single_fa.RandomLambda(lambda0=0.0, sigma0=spec.sigma0)
         single_fa.fit_gammas(spec.n_steps, spec.support_k)
     except ValueError as exc:
@@ -106,7 +104,7 @@ def _validate(spec: ExperimentSpec) -> ExperimentSpec:
     if bad:
         raise ConfigError(f"experiment {spec.experiment!r} does not compute methods {bad}")
     methods = tuple(m for m in experiment.methods if m in methods)
-    return replace(spec, methods=methods, scan=scan)
+    return replace(spec, methods=methods)
 
 
 def _finite(val: str) -> float:
@@ -170,15 +168,14 @@ def _p_fa_grid(spec):
 
 
 def _lambda_point(spec, lam):
-    config = ScanConfig(n_scans=spec.n_scans, lam=lam)
-    return mc_oracle.TrialPlan(trials=spec.trials, seed=spec.seed, config=config, scan=spec.scan)
+    return mc_oracle.TrialPlan(trials=spec.trials, seed=spec.seed, scan=spec.scan or None,
+                               config=ScanConfig(n_scans=spec.n_scans, lam=lam))
 
 
 def _n_point(spec, n):
-    # an explicit scan below n_scans stays fixed, clipped to N; the default tracks the last scan
-    scan = min(spec.scan, n) if spec.scan < spec.n_scans else n
-    config = ScanConfig(n_scans=n, lam=spec.lambda_fixed)
-    return mc_oracle.TrialPlan(trials=spec.trials, seed=spec.seed, config=config, scan=scan)
+    # an explicit scan stays fixed, clipped to N; 0 tracks the last scan
+    return mc_oracle.TrialPlan(trials=spec.trials, seed=spec.seed, scan=min(spec.scan, n) or None,
+                               config=ScanConfig(n_scans=n, lam=spec.lambda_fixed))
 
 
 def _random_lambda_point(spec, lam0):

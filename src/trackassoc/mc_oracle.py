@@ -8,7 +8,8 @@ seed's sequence, so it always sees the same draws no matter the chunk size
 or execution order. Costs are read through the decoy rows of
 the dense residual projector -- never through the closed-form coefficients
 under test -- and the brute-force least-squares route is cross-checked in the
-test suite. Each plan's decoy rows are resolved once, before any noise is
+test suite. A plan places and checks its decoys when it is built
+(``TrialPlan``); their projector rows are read once, before any noise is
 drawn, and the dense projector is let go (one is built per distinct N). The
 noise is kept in two planes, the x and the y coordinate of every epoch, and
 the coordinates decouple (see ``geometry``), so both planes are read through
@@ -102,8 +103,9 @@ def _check_seed(seed):
 class TrialPlan:
     """Reproducible simulation request; estimates depend only on (plan, seed).
 
-    The decoys sit at fa's scans and offsets, else one at scan (default: the
-    last) with offset config.lam, or one drawn per trial with random_lambda.
+    The decoys sit at fa's scans and offsets, else one at scan (None: the last,
+    config.n_scans) with offset config.lam, or one drawn per trial with
+    random_lambda. Each decoy scan is checked to lie in 1..N when the plan is built.
     """
 
     trials: int
@@ -119,6 +121,10 @@ class TrialPlan:
         _check_seed(self.seed)
         if self.fa is not None and (self.scan is not None or self.random_lambda is not None):
             raise ValueError("a plan with fa takes neither scan nor random_lambda")
+        if self.fa is None and self.scan is None:
+            object.__setattr__(self, "scan", self.config.n_scans)
+        for l in (self.scan,) if self.fa is None else self.fa.indices:
+            _check_scan(l, self.config)
 
 
 @dataclass(frozen=True)
@@ -323,20 +329,17 @@ def _delta_for_chunk(x, y, kernel, lam_per_scan):
 
 
 def _decoys(plan):
-    """The decoys a plan places (see ``TrialPlan``): (stream, scans, offsets).
+    """The decoys a plan places (``TrialPlan`` set and checked them): (stream, scans, offsets).
 
     offsets is a 1 x K row of the decoys' offsets, or None when
     plan.random_lambda draws the offset per trial. stream is the one the plan
-    reads from its seed's words: (trials, epochs, random offset or not). Every
-    scan is checked to lie in 1..N (geometry._check_scan).
+    reads from its seed's words: (trials, epochs, random offset or not).
     """
     if plan.fa is not None:
         scans, offsets = list(plan.fa.indices), np.array([plan.fa.lambdas])
     else:
-        scans = [plan.scan if plan.scan is not None else plan.config.n_scans]
+        scans = [plan.scan]
         offsets = None if plan.random_lambda is not None else np.array([[plan.config.lam]])
-    for l in scans:
-        _check_scan(l, plan.config)
     return (plan.trials, plan.config.epochs, offsets is None), scans, offsets
 
 

@@ -268,7 +268,7 @@ def prob_exponential(*mps: MomentParams) -> list[float]:
     return _compound_tails(mps, *_variance_law("exponential", mps), range(len(mps)))
 
 
-def compound_density(mp: MomentParams, law: str = "chi2", K: int | None = None):
+def compound_density(mp: MomentParams, law: str, K: int | None = None):
     """Density of the cost difference after compounding mean and variance.
 
     Returns a callable h(delta). The conditional mean of the cost difference is

@@ -94,7 +94,7 @@ class IndicatorApprox:
 
     n_steps: int
     gammas: tuple
-    support_k: float = 3.0
+    support_k: float
 
     @property
     def _i(self):

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from trackassoc.cli import (EXPERIMENTS, MAX_STEPS, ConfigError, _experiment_rows, default_spec,
                             main, parse_config, run, write_csv, write_svg)
+from trackassoc.geometry import ScanConfig
+from trackassoc.single_fa import exact_probability
 
 from numeric_helpers import spy_draws
 
@@ -35,7 +37,7 @@ class TestParseConfig:
         assert spec.n_steps == 10
         assert spec.trials == 100_000
         assert spec.seed == 42
-        assert spec.scan == 40
+        assert spec.scan == 0
         assert spec.methods == ("exact", "closed-form", "mc")
 
     def test_small_n_rejected(self, tmp_path):
@@ -349,6 +351,24 @@ class TestOtherExperiments:
         header, rows = read_csv(tmp_path / "first-order.csv")
         assert header == ["n_scans", "exact", "first_order"]
         assert len(rows) == 4
+
+    @pytest.mark.parametrize("experiment", ["sweep-n", "first-order"])
+    def test_written_scan_stays_fixed_and_zero_tracks_the_last(self, tmp_path, experiment):
+        # scan=40 written out equals the default n_scans; it once moved to scan N past N = 40
+        cfg = tmp_path / "s.cfg"
+        grid = f"experiment={experiment}\nmethods=exact\nn_min=20\nn_max=80\nn_step=20\n"
+        cfg.write_text(grid + "scan=40\n")
+        spec = parse_config(cfg)
+        ns = EXPERIMENTS[experiment].grid(spec)
+        assert [EXPERIMENTS[experiment].point(spec, n).scan for n in ns] == [20, 40, 40, 40]
+        _, rows = _experiment_rows(spec)
+        assert [row[1] for row in rows] == [
+            exact_probability(min(40, n), ScanConfig(n_scans=n, lam=spec.lambda_fixed))
+            for n in ns]
+        cfg.write_text(grid + "scan=0\n")
+        spec = parse_config(cfg)
+        assert spec.scan == 0
+        assert [EXPERIMENTS[experiment].point(spec, n).scan for n in ns] == ns
 
     def test_oracle_compare_runs(self, tmp_path):
         cfg = tmp_path / "o.cfg"

@@ -291,9 +291,9 @@ class TestMultiFa:
 
         calls = []
         monkeypatch.setattr(mc, "_draw_uniforms", lambda *a: calls.append(a))
-        plan = TrialPlan(trials=10, seed=1, config=CONFIG, fa=FalseAssocSet((scan,), (1.0,)))
         with pytest.raises(ValueError, match="outside 1..20"):
-            sample_moments(plan)
+            sample_moments(TrialPlan(trials=10, seed=1, config=CONFIG,
+                                     fa=FalseAssocSet((scan,), (1.0,))))
         assert calls == []
 
 
@@ -306,6 +306,20 @@ class TestDecoyRule:
     def test_fa_excludes_scan_and_random_lambda(self, extra):
         with pytest.raises(ValueError, match="neither scan nor random_lambda"):
             TrialPlan(trials=10, seed=1, config=CONFIG, fa=FalseAssocSet((20,), (1.0,)), **extra)
+
+    @pytest.mark.parametrize("rl", [None, RandomLambda(lambda0=2.0, sigma0=1.0)],
+                             ids=["fixed", "random-lambda"])
+    def test_no_scan_means_the_last(self, rl):
+        assert TrialPlan(trials=10, seed=1, config=CONFIG, scan=None, random_lambda=rl).scan == 20
+
+    @pytest.mark.parametrize("decoys", [{"scan": 0}, {"scan": -1}, {"scan": 21},
+                                        {"fa": FalseAssocSet((0,), (1.0,))},
+                                        {"fa": FalseAssocSet((19, 21), (1.0, 1.0))}],
+                             ids=["scan-0", "scan-negative", "scan-beyond-n", "index-0",
+                                  "index-beyond-n"])
+    def test_a_scan_outside_1_to_n_fails_when_the_plan_is_built(self, decoys):
+        with pytest.raises(ValueError, match="outside 1..20"):
+            TrialPlan(trials=10, seed=1, config=CONFIG, **decoys)
 
     def test_single_fa_estimates_the_plans_decoy_set(self):
         # a single-decoy estimate at the last scan and lam 0 would read 0.0801
@@ -459,17 +473,18 @@ class TestSharedPass:
         assert simulate_single_fa(*plans) == ref
 
     @pytest.mark.parametrize("simulate,bad", [
-        (simulate_single_fa, TrialPlan(trials=10, seed=1, config=CONFIG, scan=21)),
-        (simulate_multi_fa, TrialPlan(trials=10, seed=1, config=CONFIG, scan=20)),
-        (simulate_multi_fa, TrialPlan(trials=10, seed=1, config=CONFIG,
-                                      fa=FalseAssocSet((20, 21), (1.0, 1.0)))),
+        (simulate_single_fa, lambda: TrialPlan(trials=10, seed=1, config=CONFIG, scan=21)),
+        (simulate_multi_fa, lambda: TrialPlan(trials=10, seed=1, config=CONFIG, scan=20)),
+        (simulate_multi_fa, lambda: TrialPlan(trials=10, seed=1, config=CONFIG,
+                                              fa=FalseAssocSet((20, 21), (1.0, 1.0)))),
         # index 0 once read the noise of epoch 0, and -1 that of scan N
-        (simulate_multi_fa, TrialPlan(trials=10, seed=1, config=CONFIG,
-                                      fa=FalseAssocSet((0,), (1.0,)))),
-        (simulate_multi_fa, TrialPlan(trials=10, seed=1, config=CONFIG,
-                                      fa=FalseAssocSet((-1,), (1.0,))))],
+        (simulate_multi_fa, lambda: TrialPlan(trials=10, seed=1, config=CONFIG,
+                                              fa=FalseAssocSet((0,), (1.0,)))),
+        (simulate_multi_fa, lambda: TrialPlan(trials=10, seed=1, config=CONFIG,
+                                              fa=FalseAssocSet((-1,), (1.0,))))],
         ids=["scan", "no-fa", "index", "index-0", "index-negative"])
     def test_invalid_plan_raises_before_any_draw(self, monkeypatch, simulate, bad):
+        # bad builds the plan: a scan outside 1..N fails when it is built, no-fa when it is run
         import trackassoc.mc_oracle as mc
 
         calls = []
@@ -478,7 +493,7 @@ class TestSharedPass:
                 if simulate is simulate_single_fa else
                 TrialPlan(trials=10, seed=1, config=CONFIG, fa=FalseAssocSet((20,), (1.0,))))
         with pytest.raises(ValueError):
-            simulate(good, good, bad)
+            simulate(good, good, bad())
         assert calls == []
 
     def test_no_chunk_outlives_its_stream(self):

@@ -34,7 +34,8 @@ from pathlib import Path
 # defaults stop at N=80); and the column rules the defaults never reach:
 # every single-decoy method at once, the analytic workload's dense exact and
 # closed-form sweep, a random offset of zero and of a wide spread, and a fixed
-# scan below n_scans in sweep-n.
+# scan in sweep-n, below n_scans and equal to it (written out, which keeps the
+# decoy at scan 40 where N passes 40).
 EXTRA_RUNS = (
     *({"experiment": "multi-fa", "k": k, "methods": "exact,chi2,normal,exponential,mc",
        "trials": 2000} for k in (4, 8)),
@@ -44,6 +45,8 @@ EXTRA_RUNS = (
     {"experiment": "sweep-lambda", "lambda_step": 0.05, "methods": "exact,closed-form"},
     *({"experiment": "random-lambda", "sigma0": sigma0, "trials": 2000} for sigma0 in (0, 3)),
     {"experiment": "sweep-n", "n_scans": 80, "scan": 30, "trials": 2000},
+    {"experiment": "sweep-n", "scan": 40, "n_min": 20, "n_max": 80, "n_step": 20,
+     "trials": 2000},
 )
 
 # Library calls that no CLI run reaches, each a script that prints every value
