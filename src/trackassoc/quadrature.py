@@ -48,8 +48,8 @@ def normal_upper_tail(x):
 
 # Embedded Gauss-Legendre pair reused by every bisection: the 15-point value is
 # the estimate, the 7-point value only feeds the error estimate. A panel's nodes
-# for both rules come from one product and one sum over their 22 abscissae, two
-# array operations fewer per panel than a pair per rule, and are then split.
+# for both rules come from one product and one sum over their 22 abscissae and
+# go to one integrand call, whose values are then split between the rules.
 # The tables are np.polynomial.legendre.leggauss(7) and (15) written out, bit for
 # bit (the tests compare them), so the package never imports numpy.polynomial.
 _X7 = np.array([-0.9491079123427586, -0.7415311855993945, -0.4058451513773972, 0.0,
@@ -89,15 +89,23 @@ def adaptive_integrate(f, a, b, abs_tol=1e-10, max_depth=48, panels=1):
     on the rows of ``x``, one row of nodes per member, and the call returns a
     list of P (value, error_estimate) pairs, each member's error its own. Each
     member keeps its own panel stack, acceptance test and totals. Each round
-    takes the next panel of every member still bisecting and evaluates them
-    with one call per rule, so a member gets the same panels, sums and value,
-    bit for bit, as a call of its own. A failing member raises the
+    takes the next panel of every member still bisecting and calls ``f`` once,
+    on the 22 nodes of both rules (the 7-point nodes first), so a member whose
+    integrand is elementwise in its nodes gets the same panels, sums and
+    value, bit for bit, as a call of its own. A failing member raises the
     IntegrationError of its own call: a non-finite value in the round it
     appears, a missed tolerance once every member is done, the first such
-    member's.
+    member's. One loop serves both forms: the one-integrand form runs as a
+    batch of one, one call of ``f`` per panel.
     """
-    batch = np.ndim(a) > 0
-    ends = list(zip(a, b, strict=True)) if batch else [(a, b)]
+    if np.ndim(a) > 0:
+        return _bisect(f, a, b, abs_tol, max_depth, panels)
+    return _bisect(lambda x, members: f(x[0])[None], [a], [b], abs_tol, max_depth, panels)[0]
+
+
+def _bisect(f, a, b, abs_tol, max_depth, panels):
+    """``adaptive_integrate``'s batch form: its round loop, one call of ``f`` per round."""
+    ends = list(zip(a, b, strict=True))
     if not all(hi > lo for lo, hi in ends):
         raise ValueError("integration interval must satisfy b > a")
     if abs_tol <= 0:
@@ -117,20 +125,13 @@ def adaptive_integrate(f, a, b, abs_tol=1e-10, max_depth=48, panels=1):
     active = stacks[:]                   # the stacks of ``members``
     while active:
         popped = list(map(list.pop, active))
-        if batch:
-            lo, hi = np.array([panel[:2] for panel in popped]).T
-            nodes = (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * _X
-            rows = np.array(members)
-            y7, y15 = f(nodes[:, :7], rows), f(nodes[:, 7:], rows)
-        else:
-            (lo, hi, _), = popped
-            nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _X
-            y7, y15 = (f(nodes[:7]),), (f(nodes[7:]),)
-        for i, (lo, hi, depth), row7, row15 in zip(members, popped, y7, y15):
+        lo, hi = np.array([panel[:2] for panel in popped]).T
+        nodes = (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * _X
+        for i, (lo, hi, depth), row in zip(members, popped, f(nodes, np.array(members))):
             half = 0.5 * (hi - lo)
             # ndarray.dot is np.dot's own product, without its dispatch cost
-            val = half * float(_W15.dot(row15))
-            err = abs(val - half * float(_W7.dot(row7)))
+            val = half * float(_W15.dot(row[7:]))
+            err = abs(val - half * float(_W7.dot(row[:7])))
             if not math.isfinite(val + err):  # bisecting would go on to max_depth everywhere
                 raise IntegrationError("integrand is not finite", val, err)
             if err <= abs_tol * (hi - lo) / widths[i] or err <= 1e-16 * abs(val):
@@ -149,5 +150,4 @@ def adaptive_integrate(f, a, b, abs_tol=1e-10, max_depth=48, panels=1):
     for total, err_total, fail in zip(totals, err_totals, failed):
         if fail or err_total > max(abs_tol, 1e-14 * abs(total)):
             raise IntegrationError("maximum bisection depth exceeded", total, err_total)
-    found = list(zip(totals, err_totals))
-    return found if batch else found[0]
+    return list(zip(totals, err_totals))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trackassoc import multi_fa
+from trackassoc import multi_fa, quadrature
 from trackassoc.geometry import (ScanConfig, build_projector, cross_alpha, cross_theta,
                                  diag_coeffs)
 from trackassoc.mc_oracle import TrialPlan, sample_moments, simulate_multi_fa
@@ -225,6 +225,30 @@ class TestExactProbability:
         s = np.linspace(-50.0, 50.0, 20_001)
         np.testing.assert_array_equal(seen[0](s).view(np.int64), im_phi(s).view(np.int64))
 
+    @pytest.mark.parametrize("n,indices,lambdas,value", [
+        (40, (40,), (2.0,), "0x1.a76dfd7d28642p-1"),
+        (20, (2,), (8.75,), "0x1.fffffffff1e92p-1"),
+        (40, (10, 25, 40), (1.5, 2.5, 3.5), "0x1.fbf8d72b9c22cp-1"),
+        (40, tuple(range(33, 41)), (6.0,) * 8, "0x1.ffffffcf4175ep-1")])
+    def test_values_keep_their_bits(self, n, indices, lambdas, value):
+        # frozen values: a change to the quadrature's call pattern must not move them
+        assert exact_probability(FalseAssocSet(indices, lambdas),
+                                 ScanConfig(n_scans=n)).hex() == value
+
+    def test_one_value_enters_the_integrator_once(self, monkeypatch):
+        # a wrapper on the name in quadrature's own namespace, as a tracer installs
+        # it, sees one call per value: the one-integrand form must not call it again
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return adaptive_integrate(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "adaptive_integrate", counted)
+        monkeypatch.setattr(multi_fa, "adaptive_integrate", counted)
+        exact_probability(fa_last_k(3, 2.0), CONFIG40)
+        assert len(calls) == 1
+
     def test_another_decoy_can_raise_the_probability(self):
         # P(K+1) <= P(K) is not a property of the model (FINDINGS.md)
         vals = [exact_probability(fa_last_k(k, 3.0), CONFIG40) for k in (1, 2, 3)]
@@ -420,6 +444,19 @@ class TestBatchedLaws:
             assert res == prob_normal(mp)[0]
         assert batch[at].value == float(normal_upper_tail(-2.0 / math.sqrt(8.0)))
         assert {res.unreliable for res in batch} == {True, False}    # both flags are compared
+
+    def test_values_keep_their_bits(self):
+        # frozen values of the three laws on one K = 8 grid
+        mps = [moment_params(fa_last_k(8, lam), CONFIG40) for lam in (0.0, 1.0, 2.0, 3.0, 4.0)]
+        assert [v.hex() for v in prob_chi2(8, *mps)] == [
+            "0x1.ba7eafbda4ea5p-7", "0x1.64fa7eef5b020p-5", "0x1.b54c86739c412p-2",
+            "0x1.fb3637fbebb40p-1", "0x1.ffffff9ad6332p-1"]
+        assert [r.value.hex() for r in prob_normal(*mps)] == [
+            "0x1.eb4f64641d98ep-9", "0x1.0bc8fb10607afp-5", "0x1.bfccedc306281p-2",
+            "0x1.e2c78374c9d8fp-1", "0x1.ff8fec43d4d96p-1"]
+        assert [v.hex() for v in prob_exponential(*mps)] == [
+            "0x1.eb3693934199dp-9", "0x1.0b506fd2e4201p-5", "0x1.bb7e10b27c2a5p-2",
+            "0x1.e4c9f485a377cp-1", "0x1.fdd3d7040a54cp-1"]
 
 
 class TestCompoundLawAccuracy:

@@ -236,13 +236,43 @@ class TestLockstepBatch:
             alone = adaptive_integrate(lambda x: counted.append(1) or g(x), *FAMILY[name][:2],
                                        abs_tol=1e-12, panels=panels)
             assert (found[0].hex(), found[1].hex()) == (alone[0].hex(), alone[1].hex()), name
-            solo_panels.append(len(counted) // 2)
+            solo_panels.append(len(counted))
         assert solo_panels[0] == panels                 # the polynomial passes at once
         assert solo_panels[1] > panels + 10             # the narrow bump bisects
-        # one call per rule per round, over the members still bisecting
+        # one call per round, over the members still bisecting
         rounds = max(solo_panels)
         assert calls == [m for r in range(rounds)
-                         for m in 2 * [[i for i, n in enumerate(solo_panels) if n > r]]]
+                         for m in [[i for i, n in enumerate(solo_panels) if n > r]]]
+
+    @pytest.mark.parametrize("panels", [1, 20])
+    def test_one_call_per_round_on_both_rules_nodes(self, panels):
+        # each call gets a member's 22 nodes, the 7-point rule's first: one panel
+        # centre c and half-width h for both rules, and no panel evaluated twice
+        x7, x15 = (np.polynomial.legendre.leggauss(n)[0] for n in (7, 15))
+
+        def panel_of(row):
+            c, h = row[3], (row[-1] - row[7]) / (x15[-1] - x15[0])
+            np.testing.assert_allclose(row, c + h * np.concatenate([x7, x15]),
+                                       rtol=1e-13, atol=1e-13 * h)
+            return c, h
+
+        f, a, b, calls = family_batch()
+        seen = []
+        adaptive_integrate(lambda x, members: seen.append(x) or f(x, members), a, b,
+                           abs_tol=1e-12, panels=panels)
+        assert len(seen) == len(calls)
+        assert [x.shape for x in seen] == [(len(m), 22) for m in calls]
+        batch_panels = [(m, *panel_of(row)) for x, ms in zip(seen, calls)
+                        for m, row in zip(ms, x)]
+        assert len(set(batch_panels)) == len(batch_panels)
+
+        g = family_member("narrow bump")
+        seen = []
+        adaptive_integrate(lambda x: seen.append(x) or g(x), *FAMILY["narrow bump"][:2],
+                           abs_tol=1e-12, panels=panels)
+        assert {x.shape for x in seen} == {(22,)}
+        solo_panels = [panel_of(x) for x in seen]
+        assert len(set(solo_panels)) == len(solo_panels) > panels + 10
 
     def test_one_member_batch_and_empty_batch(self):
         f, a, b, _ = family_batch()

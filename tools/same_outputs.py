@@ -56,7 +56,10 @@ EXTRA_RUNS = (
 # over decoy sets of one and of three scans; one over decoy sets of 4 and 8
 # scans with unequal offsets at N = 40 and 200; and the three compound laws over
 # the moment sets of 1, 2 and 8 decoys, one of them with s0_sq = 0, with the
-# compound density of each law and set on a delta grid; every decision-chain
+# compound density of each law and set on a delta grid; the tabulated
+# exponential series over the same moment sets; the exact value of one decoy on
+# FINDINGS 21's grid (N from 5 to 200, the decoy at scan 1, N/2, N - 1 and N,
+# lambda from 0 to 10 in steps of 0.625); every decision-chain
 # function, and the k = 1, 3 and 5 windows, at values of p_fa from 1e-300 (where
 # p_fa^2 underflows) to 1 - 1e-12; every statistic of simulate_dtmc at four
 # values of p_fa from 0 to 1; and, past the CLI's cap N = 200 (where the
@@ -73,14 +76,23 @@ from trackassoc.dtmc import (AssocDTMC, absorption_time_pmf, chain_power, consec
 from trackassoc.geometry import ScanConfig
 from trackassoc.mc_oracle import (TrialPlan, sample_moments, simulate_dtmc, simulate_multi_fa,
                                   simulate_single_fa)
-from trackassoc.multi_fa import (FalseAssocSet, compound_density, moment_params, prob_chi2,
-                                 prob_exponential, prob_normal)
+from trackassoc.multi_fa import (FalseAssocSet, compound_density, exact_probability,
+                                 moment_params, prob_chi2, prob_exponential, prob_normal)
 from trackassoc.single_fa import RandomLambda
+from trackassoc.tabulated import exponential_series
 
 
 def show(estimates):
     for est in estimates:
         print(est.p_hat.hex(), est.stderr.hex(), est.trials)
+
+
+def moment_sets():
+    for n, k in ((20, 1), (40, 2), (40, 8)):
+        config = ScanConfig(n_scans=n)
+        mps = [moment_params(FalseAssocSet(tuple(range(n - k + 1, n + 1)), (lam,) * k), config)
+               for lam in (0.0, 1.5, 3.0)]
+        yield k, [*mps, replace(mps[-1], s0_sq=0.0)]
 """
 LIBRARY_RUNS = {
     "sample_moments": """
@@ -112,17 +124,37 @@ show(simulate_multi_fa(*(
 """,
     "compound laws and densities": """
 deltas = np.linspace(-12.0, 12.0, 49)
-for n, k in ((20, 1), (40, 2), (40, 8)):
-    config = ScanConfig(n_scans=n)
-    mps = [moment_params(FalseAssocSet(tuple(range(n - k + 1, n + 1)), (lam,) * k), config)
-           for lam in (0.0, 1.5, 3.0)]
-    mps.append(replace(mps[-1], s0_sq=0.0))
+for k, mps in moment_sets():
     print(*(v.hex() for v in prob_chi2(k, *mps)))
     print(*(f"{r.value.hex()} {r.negative_mass.hex()} {r.unreliable}" for r in prob_normal(*mps)))
     print(*(v.hex() for v in prob_exponential(*mps)))
     for mp in mps:
         for law in ("chi2", "normal", "exponential"):
             print(*(float(v).hex() for v in compound_density(mp, law, K=k)(deltas)))
+""",
+    "tabulated exponential series": """
+import trackassoc.tabulated as tabulated
+
+integrate = tabulated.adaptive_integrate
+
+
+def integrate_and_show(*args, **kwargs):
+    # most of these series diverge to NaN, so print each base term's quadrature too
+    found = integrate(*args, **kwargs)
+    print(*(v.hex() for v in found))
+    return found
+
+
+tabulated.adaptive_integrate = integrate_and_show
+for _, mps in moment_sets():
+    print(*(f"{value.hex()} {diagnostic}" for value, diagnostic in map(exponential_series, mps)))
+""",
+    "exact value of one decoy": """
+for n in (5, 10, 20, 40, 100, 200):
+    config = ScanConfig(n_scans=n)
+    for scan in sorted({1, n // 2, n - 1, n}):
+        print(*(exact_probability(FalseAssocSet((scan,), (lam,)), config).hex()
+                for lam in 0.625 * np.arange(17)))
 """,
     "past the CLI's scan cap": """
 show(simulate_single_fa(*(TrialPlan(trials=3_000, seed=9, config=ScanConfig(n_scans=n, lam=1.5))
