@@ -10,11 +10,11 @@ closed forms and the numeric oracles.
 
 from .geometry import (DiagBlockCoeffs, GeometryError, ScanConfig, build_design,
                        build_projector, cross_alpha, cross_theta, diag_coeffs, leverage)
-from .single_fa import (ClampedProbability, CostDiffLaw, IndicatorApprox, RandomLambda,
-                        closed_form_probability, conditional_law, exact_probability,
-                        first_order_probability, fit_gammas, random_lambda_probability)
-from .multi_fa import (FalseAssocSet, MomentParams, compound_density, moment_params,
-                       prob_chi2, prob_exponential, prob_normal)
+from .single_fa import (CostDiffLaw, IndicatorApprox, RandomLambda, closed_form_probability,
+                        conditional_law, exact_probability, first_order_probability, fit_gammas,
+                        random_lambda_probability)
+from .multi_fa import (ClampedProbability, FalseAssocSet, MomentParams, compound_density,
+                       moment_params, prob_chi2, prob_exponential, prob_normal)
 from .dtmc import (AssocDTMC, chain_power, consecutive_fa_chain, expected_transient_visits,
                    mean_intervisit, reach_probability, stationary)
 from .mc_oracle import (McEstimate, MomentSample, TrialPlan, sample_moments, simulate_dtmc,

@@ -63,20 +63,13 @@ MAX_STEPS = 10**6      # the dtmc horizon; far larger ones overflow a float
 
 
 def _validate(spec: ExperimentSpec) -> ExperimentSpec:
-    """Check the bounds the CLI sets; the library's own checks cover the rest."""
+    """Check the CLI's bounds and build every grid point: the library checks the rest."""
     if spec.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {spec.experiment!r}")
     if spec.n_steps > MAX_N_STEPS:
         raise ConfigError(f"n_steps must be <= {MAX_N_STEPS}")
     if not 0 <= spec.steps <= MAX_STEPS:
         raise ConfigError(f"steps must lie in [0, {MAX_STEPS}]")
-    try:
-        mc_oracle.TrialPlan(trials=spec.trials, seed=spec.seed,
-                            config=ScanConfig(n_scans=spec.n_scans), scan=spec.scan or None)
-        single_fa.RandomLambda(lambda0=0.0, sigma0=spec.sigma0)
-        single_fa.fit_gammas(spec.n_steps, spec.support_k)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     if spec.n_scans > 200:
         raise ConfigError("n_scans must lie in [5, 200]")
     if not (5 <= spec.n_min <= spec.n_max <= 200):
@@ -96,9 +89,18 @@ def _validate(spec: ExperimentSpec) -> ExperimentSpec:
                          (spec.p_fa_min, spec.p_fa_max, spec.p_fa_step)):
         if (hi - lo) / step >= MAX_GRID_POINTS:  # checked before _grid builds the list
             raise ConfigError(f"a grid may hold at most {MAX_GRID_POINTS} points")
+    experiment = EXPERIMENTS[spec.experiment]
+    try:
+        mc_oracle.TrialPlan(trials=spec.trials, seed=spec.seed,
+                            config=ScanConfig(n_scans=spec.n_scans))
+        single_fa.RandomLambda(lambda0=0.0, sigma0=spec.sigma0)
+        single_fa.fit_gammas(spec.n_steps, spec.support_k)
+        for x in experiment.grid(spec):  # each point's plan checks the decoy scan it places
+            experiment.point(spec, x)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if spec.jobs != 1:
         raise ConfigError("jobs must be 1 (the key stays so that configs setting it parse)")
-    experiment = EXPERIMENTS[spec.experiment]
     methods = spec.methods or experiment.default_methods
     bad = [m for m in methods if m not in experiment.methods]
     if bad:

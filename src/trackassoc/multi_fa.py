@@ -61,6 +61,16 @@ class FalseAssocSet:
         return len(self.indices)
 
 
+class ClampedProbability(NamedTuple):
+    value: float
+    clamped: bool
+
+
+def _clamp(raw: float) -> ClampedProbability:
+    """raw clamped to [0, 1]; the flag reports whether clamping occurred."""
+    return ClampedProbability(value=min(max(raw, 0.0), 1.0), clamped=not 0.0 <= raw <= 1.0)
+
+
 @dataclass(frozen=True)
 class MomentParams:
     m0: float
@@ -118,7 +128,7 @@ def exact_probability(fa: FalseAssocSet, config: ScanConfig) -> float:
 
     # Im phi(e^s) is ~E[Q] e^s as s -> -inf and O(e^(-2s)) as s -> inf: |s| <= 50 suffices
     val, _ = adaptive_integrate(im_phi, -50.0, 50.0, abs_tol=1e-12, panels=20)
-    return min(max(0.5 + val / math.pi, 0.0), 1.0)
+    return _clamp(0.5 + val / math.pi).value
 
 
 def moment_params(fa: FalseAssocSet, config: ScanConfig) -> MomentParams:
@@ -209,14 +219,14 @@ def _variance_law(law: str, mps, K: int | None = None):
     raise ValueError(f"unknown variance law {law!r}")
 
 
-def _compound_tails(mps, weight, lo, hi, sets) -> list:
+def _compound_tails(mps, weight, lo, hi) -> list:
     """Integral of upper_tail(m0 / sqrt(sigma0_sq + v1)) against the v1 law of each set, in [0, 1].
 
-    ``sets`` picks the moment sets to integrate (indices into ``mps``, ``lo``,
-    ``hi`` and the rows of ``weight``). One lockstep ``adaptive_integrate`` call
-    runs all of their integrals, each value bit for bit that of a call of its own.
+    One lockstep ``adaptive_integrate`` call integrates every set whose interval
+    is not empty, each value bit for bit that of a call of its own; any other set
+    takes the point mass at v0.
     """
-    sets = np.array(sets, dtype=int)
+    sets = np.array([i for i in range(len(mps)) if hi[i] > lo[i]], dtype=int)
     m0 = np.array([mp.m0 for mp in mps])[:, None]
     s2 = np.array([mp.sigma0_sq for mp in mps])[:, None]
 
@@ -224,13 +234,15 @@ def _compound_tails(mps, weight, lo, hi, sets) -> list:
         rows = sets[members]
         return normal_upper_tail(m0[rows] / np.sqrt(s2[rows] + v)) * weight(v, rows)
 
-    found = adaptive_integrate(f, [lo[i] for i in sets], [hi[i] for i in sets], abs_tol=1e-8)
-    return [min(max(val, 0.0), 1.0) for val, _ in found]
+    found = iter(adaptive_integrate(f, [lo[i] for i in sets], [hi[i] for i in sets], abs_tol=1e-8))
+    return [_clamp(next(found)[0] if hi[i] > lo[i]
+                   else float(normal_upper_tail(mp.m0 / math.sqrt(mp.sigma0_sq + mp.v0)))).value
+            for i, mp in enumerate(mps)]
 
 
 def prob_chi2(K: int, *mps: MomentParams) -> list[float]:
     """Compound tail with v1 ~ chi-square(2K), as tabulated (no rescaling), one value per set."""
-    return _compound_tails(mps, *_variance_law("chi2", mps, K=K), range(len(mps)))
+    return _compound_tails(mps, *_variance_law("chi2", mps, K=K))
 
 
 class NormalCompound(NamedTuple):
@@ -247,15 +259,10 @@ def prob_normal(*mps: MomentParams) -> list[NormalCompound]:
     where the integrand is undefined, is dropped entirely). A set whose interval
     is empty, as with s0_sq = 0, takes the point mass at v0.
     """
-    weight, lo, hi = _variance_law("normal", mps)
-    spread = [i for i in range(len(mps)) if hi[i] > lo[i]]
-    tails = dict(zip(spread, _compound_tails(mps, weight, lo, hi, spread)))
     out = []
-    for i, mp in enumerate(mps):
+    for val, mp in zip(_compound_tails(mps, *_variance_law("normal", mps)), mps):
         s0 = math.sqrt(mp.s0_sq)
         neg_mass = float(normal_upper_tail((mp.v0 - 0.0) / s0)) if s0 > 0 else float(mp.v0 <= 0)
-        val = tails[i] if i in tails else float(
-            normal_upper_tail(mp.m0 / math.sqrt(mp.sigma0_sq + mp.v0)))
         out.append(NormalCompound(value=val, negative_mass=neg_mass, unreliable=neg_mass > 0.05))
     return out
 
@@ -265,7 +272,7 @@ def prob_exponential(*mps: MomentParams) -> list[float]:
 
     The tabulated series for the same law is tabulated.exponential_series.
     """
-    return _compound_tails(mps, *_variance_law("exponential", mps), range(len(mps)))
+    return _compound_tails(mps, *_variance_law("exponential", mps))
 
 
 def compound_density(mp: MomentParams, law: str, K: int | None = None):

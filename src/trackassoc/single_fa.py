@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import multi_fa
 from .geometry import ScanConfig, diag_coeffs
+from .multi_fa import ClampedProbability, _clamp
 from .quadrature import normal_upper_tail
 
 
@@ -46,16 +46,6 @@ class RandomLambda:
     def __post_init__(self):
         if not (math.isfinite(self.lambda0) and math.isfinite(self.sigma0) and self.sigma0 >= 0):
             raise ValueError("lambda0 must be finite, and sigma0 finite and nonnegative")
-
-
-class ClampedProbability(NamedTuple):
-    value: float
-    clamped: bool
-
-
-def _clamp(raw: float) -> ClampedProbability:
-    """raw clamped to [0, 1]; the flag reports whether clamping occurred."""
-    return ClampedProbability(value=min(max(raw, 0.0), 1.0), clamped=not 0.0 <= raw <= 1.0)
 
 
 def conditional_law(e_l, l, config: ScanConfig) -> CostDiffLaw:

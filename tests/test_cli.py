@@ -178,6 +178,35 @@ class TestParseConfig:
         assert "config error:" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("text,message", [
+        ("experiment=sweep-x\n", "unknown experiment"),
+        ("n_scans=201\n", "n_scans must lie in [5, 200]"),
+        ("n_min=4\n", "n grid must lie in [5, 200]"),
+        ("experiment=sweep-n\nn_max=201\n", "n grid must lie in [5, 200]"),
+        ("lambda_max=10.5\n", "lambda values must lie in [0, 10]"),
+        ("lambda_fixed=-1\n", "lambda values must lie in [0, 10]"),
+        ("lambda_min=3\nlambda_max=2\n", "bad lambda grid"),
+        ("lambda_step=-0.1\n", "bad lambda grid"),
+        ("n_step=0\n", "bad n grid step"),
+        ("k=0\n", "k must satisfy"),
+        ("k=40\n", "k must satisfy"),
+        ("p_fa_max=1.0\n", "bad p_fa grid"),
+        ("p_fa_min=0.2\np_fa_max=0.1\n", "bad p_fa grid"),
+        ("p_fa_step=0\n", "bad p_fa grid"),
+        ("sweep-lambda\n", "expected key=value"),
+    ], ids=["experiment", "n_scans-beyond-200", "n_min-below-5", "n_max-beyond-200",
+            "lambda-beyond-10", "lambda-negative", "lambda-grid-reversed",
+            "lambda-step-negative", "n_step-zero", "k-zero", "k-at-n_scans", "p_fa-one",
+            "p_fa-grid-reversed", "p_fa-step-zero", "line-without-equals"])
+    def test_value_the_cli_rejects(self, tmp_path, capsys, text, message):
+        # the CLI's own bounds, each checked before anything is computed
+        cfg = tmp_path / "cli.cfg"
+        cfg.write_text("trials=16\n" + text)
+        assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and message in err
+        assert not list(tmp_path.glob("*.csv"))
+
 
 class TestSweepLambda:
     def test_full_grid_against_oracle(self, tmp_path):
@@ -369,6 +398,34 @@ class TestOtherExperiments:
         spec = parse_config(cfg)
         assert spec.scan == 0
         assert [EXPERIMENTS[experiment].point(spec, n).scan for n in ns] == ns
+
+    @pytest.mark.parametrize("experiment", ["sweep-n", "first-order"])
+    def test_a_scan_past_n_scans_runs_at_every_n_that_holds_it(self, tmp_path, experiment):
+        # sweep-n never reads n_scans (40), so scan 50 is checked against each N of the grid
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"experiment={experiment}\nmethods=exact\nn_min=60\nn_max=80\nn_step=20\n"
+                       "scan=50\n")
+        _, rows = _experiment_rows(parse_config(cfg))
+        assert rows == [(n, exact_probability(50, ScanConfig(n_scans=n, lam=2.0)))
+                        for n in (60, 80)]
+
+    @pytest.mark.parametrize("experiment,scan", [
+        *((name, scan) for name in ("oracle-compare", "random-lambda") for scan in (41, -1)),
+        ("sweep-n", -1), ("first-order", -1)])
+    def test_a_scan_no_point_holds_is_a_config_error(self, tmp_path, capsys, experiment, scan):
+        # sweep-lambda's cases are test_value_the_library_rejects's scan-beyond-n and scan-negative
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"experiment={experiment}\nscan={scan}\ntrials=16\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert f"config error: scan index {scan} outside 1.." in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("experiment", ["multi-fa", "dtmc"])
+    @pytest.mark.parametrize("scan", [41, -1])
+    def test_experiments_without_a_decoy_scan_ignore_it(self, tmp_path, experiment, scan):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"experiment={experiment}\nscan={scan}\n")
+        assert parse_config(cfg).scan == scan
 
     def test_oracle_compare_runs(self, tmp_path):
         cfg = tmp_path / "o.cfg"

@@ -111,6 +111,14 @@ class TestChainPower:
         out = start @ chain_power(chain, 5)
         np.testing.assert_allclose(out, [0.64, 0.16, 0.16, 0.04], atol=1e-12)
 
+    def test_zero_steps_is_the_identity(self):
+        assert chain_power(AssocDTMC(p_fa=0.3), 0).tobytes() == np.eye(4).tobytes()
+
+    @pytest.mark.parametrize("n", (-1, -2))
+    def test_rejects_a_negative_power(self, n):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            chain_power(AssocDTMC(p_fa=0.3), n)
+
     def test_factorization(self):
         p = 0.3
         q = 1.0 - p
@@ -153,6 +161,11 @@ class TestReachProbability:
 
     def test_zero_horizon(self):
         assert reach_probability(AssocDTMC(p_fa=0.4), 0).value == 0.0
+
+    @pytest.mark.parametrize("n", (-1, -2))
+    def test_rejects_a_negative_horizon(self, n):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            reach_probability(AssocDTMC(p_fa=0.4), n)
 
     def test_two_step_value(self):
         # from [ca,ca] the earliest absorption needs exactly two fa decisions
@@ -298,6 +311,11 @@ class TestExpectedTransientVisits:
         assert absorption_time_pmf(chain, (1.0, 0.0, 0.0), 1) == 0.0
         assert absorption_time_pmf(chain, (1.0, 0.0, 0.0), 2) == p * p
 
+    @pytest.mark.parametrize("n", (0, -1))
+    def test_pmf_rejects_a_step_below_one(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            absorption_time_pmf(AssocDTMC(p_fa=0.3), (1.0, 0.0, 0.0), n)
+
     def test_pmf_sums_to_one(self):
         chain = AssocDTMC(p_fa=0.3)
         start = (1.0, 0.0, 0.0)
@@ -328,6 +346,11 @@ class TestConsecutiveWindowChain:
             ref_absorbing[-1] = np.eye(2**k)[-1]
             assert full.tobytes() == ref.tobytes()
             assert absorbing.tobytes() == ref_absorbing.tobytes()
+
+    @pytest.mark.parametrize("k", (0, -1))
+    def test_rejects_a_window_below_one(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            consecutive_fa_chain(k, AssocDTMC(p_fa=0.2))
 
     def test_rows_stochastic_k3(self):
         full, absorbing = consecutive_fa_chain(3, AssocDTMC(p_fa=0.2))

@@ -301,6 +301,11 @@ class TestCrossCoeffs:
         s1_with, _, _ = _excluded_sums((5,), config)
         assert s1_with - s1_without == pytest.approx((4 * n + 2 - 6 * j) ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("fa", ((4, 4), (3, 4, 3)))
+    def test_cross_theta_rejects_a_repeated_index(self, fa):
+        with pytest.raises(GeometryError, match="contaminated indices must be distinct"):
+            cross_theta(3, 4, fa, ScanConfig(n_scans=10))
+
     def test_cross_theta_rejects_outside_index(self):
         config = ScanConfig(n_scans=10)
         with pytest.raises(GeometryError):

@@ -41,6 +41,11 @@ class TestReproducibility:
             simulate_dtmc(AssocDTMC(p_fa=0.5), steps=10, runs=10, seed=seed)
         TrialPlan(trials=10, seed=np.uint64(2**64 - 1), config=CONFIG)
 
+    @pytest.mark.parametrize("trials", (0, -5))
+    def test_trials_are_at_least_one(self, trials):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            TrialPlan(trials=trials, seed=1, config=CONFIG)
+
     def test_seed_changes_stream(self):
         a, = simulate_single_fa(TrialPlan(trials=30_000, seed=1, config=CONFIG, scan=20))
         b, = simulate_single_fa(TrialPlan(trials=30_000, seed=2, config=CONFIG, scan=20))
@@ -798,6 +803,11 @@ class TestDtmcSimulation:
             with pytest.raises(ValueError):
                 simulate_dtmc(AssocDTMC(p_fa=p), steps=1000, runs=3000, seed=1)
         assert calls == []
+
+    @pytest.mark.parametrize("steps,runs", ((1, 10), (0, 10), (10, 0)))
+    def test_rejects_fewer_than_two_steps_or_one_run(self, steps, runs):
+        with pytest.raises(ValueError, match="need steps >= 2 and runs >= 1"):
+            simulate_dtmc(AssocDTMC(p_fa=0.5), steps=steps, runs=runs, seed=1)
 
     def test_absorption_reproducible(self):
         a = simulate_dtmc(AssocDTMC(p_fa=0.3), steps=1000, runs=5000, seed=12)

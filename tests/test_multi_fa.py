@@ -301,6 +301,14 @@ class TestProbChi2:
     def test_orientation_large_distance(self):
         assert prob_chi2(2, moment_params(fa_last_k(2, 6.0), CONFIG40))[0] >= 0.999
 
+    @pytest.mark.parametrize("K", (0, -1, None))
+    def test_rejects_fewer_than_one_decoy(self, K):
+        mp = moment_params(fa_last_k(2, 2.0), CONFIG40)
+        with pytest.raises(ValueError, match="chi2 law needs K >= 1"):
+            prob_chi2(K, mp)
+        with pytest.raises(ValueError, match="chi2 law needs K >= 1"):
+            compound_density(mp, "chi2", K=K)
+
 
 class TestChi2UpperCutoff:
     def test_equals_the_incomplete_gamma_loop(self):
@@ -355,6 +363,11 @@ class TestProbExponential:
         mp = MomentParams(m0=-1.5, sigma0_sq=2.0, v0=1e-7, s0_sq=8.0)
         target = float(normal_upper_tail(-1.5 / math.sqrt(2.0)))
         assert prob_exponential(mp)[0] == pytest.approx(target, abs=1e-5)
+
+    def test_an_empty_interval_is_the_point_mass(self):
+        # at v0 = 5e-324 the rate 1 / v0 overflows and [0, 40 v0] is empty
+        mp = MomentParams(m0=-1.5, sigma0_sq=2.0, v0=5e-324, s0_sq=8.0)
+        assert prob_exponential(mp) == [float(normal_upper_tail(-1.5 / math.sqrt(2.0)))]
 
     def test_series_reported_with_diagnostic(self):
         mp = replace(moment_params(fa_last_k(2, 2.5), CONFIG40), v0=2.0)

@@ -157,6 +157,11 @@ class TestAdaptiveIntegrate:
         with pytest.raises(ValueError):
             adaptive_integrate(np.exp, 1.0, 1.0)
 
+    @pytest.mark.parametrize("abs_tol", (0.0, -1e-10))
+    def test_bad_tolerance(self, abs_tol):
+        with pytest.raises(ValueError, match="abs_tol must be positive"):
+            adaptive_integrate(np.exp, 0.0, 1.0, abs_tol=abs_tol)
+
     def test_bad_panel_count(self):
         with pytest.raises(ValueError):
             adaptive_integrate(np.exp, 0.0, 1.0, panels=0)

@@ -201,6 +201,14 @@ class TestIndicatorApprox:
 
 
 class TestBoxProbabilityIdentity:
+    @pytest.mark.parametrize("lam", (0.5, 2.0))
+    def test_zero_variance_keeps_the_true_measurement(self, lam):
+        # noise that puts the true measurement on the decoy leaves the cost
+        # difference with zero mean and zero variance, so it is >= 0 for sure
+        config = ScanConfig(n_scans=40, lam=lam)
+        assert conditional_law((0.0, -lam), 40, config).variance == 0.0
+        assert conditional_box_probability((0.0, -lam), 40, config, APPROX) == 1.0
+
     def test_two_forms_agree(self):
         # direct box evaluation vs the rearranged indicator-sum form (pure algebra)
         config = ScanConfig(n_scans=40, lam=2.0)
@@ -261,10 +269,9 @@ class TestClosedForm:
             target, abs=0.02)
 
     def test_clamp_flag(self):
-        # small N, small lam drives the quadratic form above 1
-        config = ScanConfig(n_scans=5, lam=0.4)
-        result = closed_form_probability(5, config, APPROX)
-        assert 0.0 <= result.value <= 1.0
+        # small N drives the quadratic form above 1: 1.0142 before clamping
+        config = ScanConfig(n_scans=5, lam=2.6)
+        assert closed_form_probability(5, config, APPROX) == (1.0, True)
 
     @pytest.mark.parametrize("form", ["closed-form", "first-order", "random-lambda"])
     def test_below_zero_is_clamped(self, form):
@@ -357,6 +364,11 @@ class TestBoxIntegrals:
         eta = eta_coeff(1, 40, config, APPROX)
         a_brute, _ = brute_force_box_integrals(eta, 2.0)
         assert a_integral(1, 40, config, APPROX) + 2.0 == pytest.approx(a_brute, abs=0.02)
+
+    @pytest.mark.parametrize("i", (0, 11))
+    def test_eta_rejects_a_box_outside_1_to_n(self, i):
+        with pytest.raises(ValueError, match="box index outside 1..n_steps"):
+            eta_coeff(i, 40, ScanConfig(n_scans=40, lam=2.0), APPROX)
 
     def test_eta_positive(self):
         config = ScanConfig(n_scans=40, lam=2.0)

@@ -34,8 +34,9 @@ from pathlib import Path
 # defaults stop at N=80); and the column rules the defaults never reach:
 # every single-decoy method at once, the analytic workload's dense exact and
 # closed-form sweep, a random offset of zero and of a wide spread, and a fixed
-# scan in sweep-n, below n_scans and equal to it (written out, which keeps the
-# decoy at scan 40 where N passes 40).
+# scan in sweep-n, below n_scans, equal to it (written out, which keeps the
+# decoy at scan 40 where N passes 40) and above it (scan 50 on N = 60 and 80,
+# which a tree that checks the scan against n_scans rejects).
 EXTRA_RUNS = (
     *({"experiment": "multi-fa", "k": k, "methods": "exact,chi2,normal,exponential,mc",
        "trials": 2000} for k in (4, 8)),
@@ -46,6 +47,8 @@ EXTRA_RUNS = (
     *({"experiment": "random-lambda", "sigma0": sigma0, "trials": 2000} for sigma0 in (0, 3)),
     {"experiment": "sweep-n", "n_scans": 80, "scan": 30, "trials": 2000},
     {"experiment": "sweep-n", "scan": 40, "n_min": 20, "n_max": 80, "n_step": 20,
+     "trials": 2000},
+    {"experiment": "sweep-n", "scan": 50, "n_min": 60, "n_max": 80, "n_step": 20,
      "trials": 2000},
 )
 
@@ -64,11 +67,16 @@ EXTRA_RUNS = (
 # p_fa^2 underflows) to 1 - 1e-12; every statistic of simulate_dtmc at four
 # values of p_fa from 0 to 1; and, past the CLI's cap N = 200 (where the
 # projector's last bits may depend on how it is built), simulate_single_fa at
-# N = 250 and 400 and sample_moments at N = 300.
+# N = 250 and 400 and sample_moments at N = 300; and the three single-decoy
+# closed forms, value and clamp flag, where they leave [0, 1]: below at
+# lambda = 0, above at N = 5, scan 5, lambda = 2.6.
 _LIBRARY_IMPORTS = """
 from dataclasses import replace
 
 import numpy as np
+
+from trackassoc import (closed_form_probability, first_order_probability, fit_gammas,
+                        random_lambda_probability)
 
 from trackassoc.dtmc import (AssocDTMC, absorption_time_pmf, chain_power, consecutive_fa_chain,
                              expected_transient_visits, mean_intervisit, reach_probability,
@@ -162,6 +170,15 @@ show(simulate_single_fa(*(TrialPlan(trials=3_000, seed=9, config=ScanConfig(n_sc
 sample = sample_moments(TrialPlan(trials=3_000, seed=9, config=ScanConfig(n_scans=300),
                                   fa=FalseAssocSet((150, 299, 300), (0.5, 2.0, 3.0))))
 print(*(float(v).hex() for v in vars(sample).values()))
+""",
+    "closed forms at their clamps": """
+for approx in (fit_gammas(1), fit_gammas(10)):
+    for n, lam in ((5, 0.0), (10, 0.0), (5, 2.6)):
+        config = ScanConfig(n_scans=n, lam=lam)
+        for result in (closed_form_probability(n, config, approx),
+                       first_order_probability(n, config, approx),
+                       random_lambda_probability(RandomLambda(lam, 0.0), n, config, approx)):
+            print(result.value.hex(), result.clamped)
 """,
     "decision chain": """
 starts = ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
